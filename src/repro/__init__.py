@@ -40,8 +40,6 @@ from repro.core import (
     ProtocolNode,
     SpinNode,
     SpmsNode,
-    available_protocols,
-    create_protocol_node,
 )
 from repro.experiments import (
     ExperimentRunner,
@@ -62,7 +60,6 @@ from repro.experiments import (
 )
 from repro.results import (
     MetricsSummary,
-    ResultCache,
     RunRecord,
     RunStore,
     ScenarioResult,
@@ -90,7 +87,6 @@ __all__ = [
     "Packet",
     "PacketType",
     "ProtocolNode",
-    "ResultCache",
     "RunRecord",
     "RunStore",
     "Sandbox",
@@ -102,10 +98,8 @@ __all__ = [
     "SpmsNode",
     "SweepResult",
     "all_to_all_scenario",
-    "available_protocols",
     "build_sandbox",
     "cluster_scenario",
-    "create_protocol_node",
     "line_positions",
     "run_scenario",
     "run_scenario_record",

@@ -13,10 +13,10 @@ code:
 * ``compare``   — run SPMS and SPIN on the same scenario and print the
   headline metrics (energy per item, average delay, delivery ratio).
 * ``sweep``     — expand a registered scenario matrix into independent jobs
-  and execute them across a supervised worker pool, with optional
-  content-addressed result caching and ``--resume``; fault tolerance is
-  first-class (``--job-timeout``, ``--max-retries``, and the deterministic
-  ``--chaos`` fault-injection dev flag).
+  and execute them across a supervised worker pool, appending records to a
+  run directory (``--run-dir``) that ``--resume`` serves already-stored jobs
+  from; fault tolerance is first-class (``--job-timeout``, ``--max-retries``,
+  and the deterministic ``--chaos`` fault-injection dev flag).
 * ``list``      — list registered components (protocols, workloads,
   placements, mobility/failure/contention models) or scenario matrices.
 * ``bench``     — run a named kernel benchmark serially in-process and append
@@ -38,7 +38,7 @@ Examples::
     python -m repro list placements
     python -m repro compare --nodes 49 --radius 20
     python -m repro sweep fig06 --workers 4
-    python -m repro sweep fig06 --workers 4 --cache-dir .sweep-cache --resume
+    python -m repro sweep fig06 --workers 4 --run-dir runs/fig06 --resume
     python -m repro sweep fig06 --workers 2 --job-timeout 30 --max-retries 1
     python -m repro sweep --list
     python -m repro bench fig06
@@ -100,7 +100,6 @@ from repro.perf import (
 )
 from repro.perf.bench import QUICK_BENCHMARK, format_bench_record
 from repro.results import (
-    ResultCache,
     RunRecord,
     RunStore,
     RunStoreError,
@@ -268,16 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the matrix base seed (per-job seeds derive from it)",
     )
     sweep.add_argument(
-        "--cache-dir", default=None,
-        help="directory of the content-addressed result cache (written through)",
-    )
-    sweep.add_argument(
         "--run-dir", default=None,
         help="run directory to append the sweep's records to (see 'repro report')",
     )
     sweep.add_argument(
         "--resume", action="store_true",
-        help="serve jobs already present in --cache-dir instead of re-running",
+        help="serve jobs whose spec is already stored in --run-dir instead of "
+             "re-running them",
     )
     sweep.add_argument(
         "--metric", default="energy_per_item_uj",
@@ -686,8 +682,8 @@ def _cmd_sweep(args: argparse.Namespace, out: Callable[[str], None]) -> int:
             out("pick one: repro sweep <matrix> [--workers N]")
             return 2
         return 0
-    if args.resume and not args.cache_dir:
-        out("--resume needs --cache-dir (there is no cache to resume from)")
+    if args.resume and not args.run_dir:
+        out("--resume needs --run-dir (there is no run directory to resume from)")
         return 2
     chaos = None
     if args.chaos is not None:
@@ -732,7 +728,6 @@ def _cmd_sweep(args: argparse.Namespace, out: Callable[[str], None]) -> int:
         f"({matrix.parameter} x {sorted(set(j.protocol for j in jobs))}), "
         f"workers={args.workers}, seed_policy={matrix.seed_policy}"
     )
-    cache = ResultCache(args.cache_dir) if args.cache_dir else None
     store = RunStore(args.run_dir) if args.run_dir else None
 
     if chaos is not None:
@@ -753,7 +748,6 @@ def _cmd_sweep(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     records, report = execute_jobs(
         jobs,
         workers=args.workers,
-        cache=cache,
         resume=args.resume,
         progress=progress,
         store=store,

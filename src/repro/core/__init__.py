@@ -17,8 +17,9 @@ Public surface:
 * :class:`~repro.core.spin.SpinNode` — the SPIN baseline.
 * :class:`~repro.core.flooding.FloodingNode` and
   :class:`~repro.core.gossip.GossipNode` — classic dissemination baselines.
-* :func:`~repro.core.registry.create_protocol_node` — protocol factory used by
-  the experiment harness.
+
+Protocol nodes are constructed by name through the component registry in
+:mod:`repro.build`.
 """
 
 from repro.core.cache import DataCache
@@ -34,7 +35,6 @@ from repro.core.metadata import DataDescriptor, DataItem
 from repro.core.network import Network
 from repro.core.node_base import ProtocolNode
 from repro.core.packets import Packet, PacketType
-from repro.core.registry import available_protocols, create_protocol_node
 from repro.core.spin import SpinNode
 from repro.core.spms import SpmsNode
 
@@ -54,6 +54,4 @@ __all__ = [
     "ProtocolNode",
     "SpinNode",
     "SpmsNode",
-    "available_protocols",
-    "create_protocol_node",
 ]

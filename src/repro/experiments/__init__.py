@@ -3,7 +3,7 @@
 The harness turns a declarative :class:`~repro.experiments.config.SimulationConfig`
 plus a scenario description into a full simulation (field, radio, MAC,
 routing, protocol nodes, workload, failures, mobility), runs it, and returns a
-:class:`~repro.experiments.results.ScenarioResult`.
+:class:`~repro.results.RunRecord`.
 
 Every figure of the paper's evaluation has a generator in
 :mod:`repro.experiments.figures`; the benchmark files under ``benchmarks/``
@@ -12,8 +12,8 @@ simply call those generators and print the resulting rows.
 Sweeps are declared as :class:`~repro.experiments.matrix.ScenarioMatrix`
 parameter grids, expanded into independent seed-derived jobs and executed —
 serially or across a ``multiprocessing`` pool — by
-:mod:`repro.experiments.executor`, with content-addressed result caching in
-:class:`~repro.experiments.results.ResultCache`.
+:mod:`repro.experiments.executor`, which appends every record to a
+:class:`~repro.results.RunStore` run directory and resumes from it.
 """
 
 from repro.experiments.chaos import (
@@ -50,7 +50,6 @@ from repro.experiments.matrix import (
 from repro.experiments.runner import ExperimentRunner, run_scenario, run_scenario_record
 from repro.results import (
     MetricsSummary,
-    ResultCache,
     RunRecord,
     RunStore,
     ScenarioResult,
@@ -79,7 +78,6 @@ __all__ = [
     "SupervisedResult",
     "MetricsSummary",
     "MobilityConfig",
-    "ResultCache",
     "RunRecord",
     "RunStore",
     "Sandbox",

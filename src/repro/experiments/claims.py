@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.experiments.results import ScenarioResult, SweepResult
+from repro.results import ScenarioResult, SweepResult
 
 
 @dataclass(frozen=True)

@@ -28,12 +28,11 @@ order; parallel: completion order); :func:`execute_jobs` drains it into the
 keyed-dictionary form most callers want, handling ``KeyboardInterrupt`` /
 ``SIGTERM`` by tearing the pool down and returning a partial report.
 
-Results are keyed by the job's stable key (never by completion order).  Two
-persistence hooks compose: an optional
-:class:`~repro.results.ResultCache` gives content-addressed resume
-(``resume=True`` serves previously completed jobs from disk), and an optional
-:class:`~repro.results.RunStore` receives every completed record append-only
-(the run directory ``repro run --spec-dir`` and ``repro report`` share).
+Results are keyed by the job's stable key (never by completion order).  An
+optional :class:`~repro.results.RunStore` receives every completed record
+append-only (the run directory ``repro run --spec-dir`` and ``repro report``
+share); with ``resume=True`` jobs whose spec fingerprint is already stored
+there are served from it instead of being simulated again.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ from repro.experiments.supervisor import (
 from repro.metrics.summary import MetricsSummary
 from repro.results import (
     JobFailure,
-    ResultCache,
     RunRecord,
     RunStore,
     SweepResult,
@@ -107,8 +105,9 @@ class JobCompletion:
         job: The job that completed.
         record: Its canonical run record, or ``None`` if the job was
             quarantined (see *failure*).
-        from_cache: Whether the record was served from the result cache.
-        attempts: Attempts the supervisor consumed (0 for cache hits,
+        from_cache: Whether the record was served from the run directory
+            on resume instead of being simulated.
+        attempts: Attempts the supervisor consumed (0 for resumed jobs,
             1 for a clean first-try run, >1 when retries were needed).
         failure: The structured failure, when every attempt was exhausted.
     """
@@ -131,7 +130,7 @@ class ExecutionReport:
     Attributes:
         total_jobs: Jobs requested.
         executed: Jobs actually simulated to a successful record.
-        cache_hits: Jobs served from the result cache.
+        cache_hits: Jobs served from the run directory on resume.
         retried: Successful jobs that needed more than one attempt.
         quarantined: Jobs that exhausted every attempt (see *failures*).
         failed_attempts: Total failed attempts across the run (retries that
@@ -144,8 +143,8 @@ class ExecutionReport:
         failures: The quarantined jobs' structured failure records.
         merged_summary: Fold of every record's :class:`MetricsSummary`, in
             expansion order (so serial and parallel executions aggregate
-            byte-identically).  Covers cache hits too — cached records carry
-            their summaries, unlike the collectors the old executor shipped.
+            byte-identically).  Covers resumed jobs too — stored records carry
+            their summaries.
     """
 
     total_jobs: int = 0
@@ -163,7 +162,7 @@ class ExecutionReport:
 
     @property
     def completed(self) -> int:
-        """Jobs that produced a record (simulated or cached)."""
+        """Jobs that produced a record (simulated or resumed)."""
         return self.executed + self.cache_hits
 
 
@@ -178,10 +177,30 @@ def _run_job(job: SweepJob) -> Tuple[int, RunRecord]:
     return job.index, runner.run_record(key=job.key, axes=job.axes)
 
 
+def _resumed(job: SweepJob, store: RunStore) -> Optional[RunRecord]:
+    """The stored record serving *job* on resume, or ``None`` to run it.
+
+    A record stored under the job's own key is served as it is, so a resumed
+    sweep never duplicates records.  The fingerprint identifies the *spec*,
+    not the job, so two matrices can share one (fig06 and fig06-placement's
+    placement=grid points do): a record stored under another key is
+    re-stamped with this job's key and axes, so its provenance describes
+    this sweep, and appended once.
+    """
+    stored = store.records_by_fingerprint(spec_fingerprint(job.spec))
+    if not stored:
+        return None
+    for record in stored:
+        if record.key == job.key:
+            return record
+    return store.append(
+        dataclasses.replace(stored[0], key=job.key, axes=dict(job.axes))
+    )
+
+
 def stream_jobs(
     jobs: Sequence[SweepJob],
     workers: int = 1,
-    cache: Optional[ResultCache] = None,
     resume: bool = False,
     store: Optional[RunStore] = None,
     job_timeout: Optional[float] = None,
@@ -190,7 +209,7 @@ def stream_jobs(
 ) -> Iterator[JobCompletion]:
     """Run every job, yielding each completion as soon as it is available.
 
-    Cache hits are yielded first (they cost one disk read each); the
+    Resumed jobs are yielded first (they cost one indexed read each); the
     remaining jobs then stream back from the supervised pool in completion
     order, or in expansion order when running serially.  Every job yields
     exactly one completion — quarantined jobs yield one with
@@ -199,15 +218,14 @@ def stream_jobs(
     Args:
         jobs: Expanded sweep jobs (any order; results are keyed, not ordered).
         workers: Worker processes; ``<= 1`` runs serially in-process.
-        cache: Optional content-addressed record cache.  When given, executed
-            jobs are always written through to it.
-        resume: When true (and *cache* is given), jobs whose fingerprint is
-            already cached are not re-simulated.
-        store: Optional run store; *every* completed record (cache hits
-            included) is appended, so the run directory describes the full
-            requested set.  Appends happen in the parent under the store's
-            advisory file lock, so several executors (or CLI runs) may
-            share one ``--run-dir`` concurrently without losing records.
+        resume: When true, jobs whose spec fingerprint is already in *store*
+            are served from it instead of being simulated (see
+            :func:`_resumed`).  Requires *store*.
+        store: Optional run store; every simulated record is appended, so
+            the run directory describes the full requested set.  Appends
+            happen in the parent under the store's advisory file lock, so
+            several executors (or CLI runs) may share one ``--run-dir``
+            concurrently without losing records.
             Quarantined jobs are appended to the store's ``failures.jsonl``
             sidecar instead — canonical record bytes stay untouched.
         job_timeout: Per-attempt wall-clock budget in seconds.  Requires a
@@ -219,9 +237,12 @@ def stream_jobs(
             worker pool for the same reason *job_timeout* does.
 
     Raises:
-        ValueError: When *job_timeout* or a pool-only chaos spec is combined
-            with serial execution.
+        ValueError: When *resume* is requested without a *store*, or
+            *job_timeout* or a pool-only chaos spec is combined with serial
+            execution.
     """
+    if resume and store is None:
+        raise ValueError("resume=True needs a store to resume from")
     workers = max(1, int(workers))
     if workers < 2:
         if job_timeout is not None:
@@ -235,7 +256,6 @@ def stream_jobs(
                 "which act on worker processes; use workers >= 2"
             )
     pending: List[SweepJob] = []
-    fingerprints: Dict[int, str] = {}
 
     def complete(result: SupervisedResult) -> JobCompletion:
         job = result.job
@@ -250,8 +270,6 @@ def stream_jobs(
                 failure=result.failure,
             )
         record = result.record
-        if cache is not None:
-            cache.store(fingerprints[job.index], record, spec=job.spec)
         if store is not None:
             record = store.append(record)
         return JobCompletion(
@@ -259,27 +277,11 @@ def stream_jobs(
         )
 
     for job in jobs:
-        if cache is not None:
-            fingerprints[job.index] = spec_fingerprint(job.spec)
-            if resume:
-                hit = cache.load(fingerprints[job.index])
-                if hit is not None:
-                    # The fingerprint identifies the *spec*, not the job: two
-                    # matrices can share an entry (fig06 and fig06-placement's
-                    # placement=grid points do).  Re-stamp the requesting
-                    # job's identity so the served record's provenance — key
-                    # and grid axes — describes this sweep, not the one that
-                    # originally populated the cache.
-                    hit = dataclasses.replace(
-                        hit, key=job.key, axes=dict(job.axes)
-                    )
-                    if store is not None:
-                        hit = store.append(hit)
-                    yield JobCompletion(
-                        job=job, record=hit, from_cache=True, attempts=0
-                    )
-                    continue
-        pending.append(job)
+        hit = _resumed(job, store) if resume else None
+        if hit is not None:
+            yield JobCompletion(job=job, record=hit, from_cache=True, attempts=0)
+        else:
+            pending.append(job)
 
     # A pool is only worth its process overhead when there is real
     # parallelism to exploit — except that timeout enforcement and
@@ -307,7 +309,6 @@ def stream_jobs(
 def execute_jobs(
     jobs: Sequence[SweepJob],
     workers: int = 1,
-    cache: Optional[ResultCache] = None,
     resume: bool = False,
     progress: Optional[ProgressCallback] = None,
     store: Optional[RunStore] = None,
@@ -325,7 +326,7 @@ def execute_jobs(
     ``KeyboardInterrupt`` (and ``SIGTERM``, when running on the main thread)
     shuts down gracefully: the pool is torn down — supervised workers are
     daemonic and explicitly killed, so no children leak — records completed
-    so far are already flushed to cache/store, and a *partial* report is
+    so far are already flushed to the store, and a *partial* report is
     returned with ``interrupted=True`` instead of dying mid-append.
     """
     started = time.perf_counter()
@@ -337,7 +338,6 @@ def execute_jobs(
     stream = stream_jobs(
         jobs,
         workers=workers,
-        cache=cache,
         resume=resume,
         store=store,
         job_timeout=job_timeout,

@@ -27,7 +27,7 @@ from repro.experiments.config import (
 )
 from repro.experiments.executor import default_workers
 from repro.experiments.matrix import ScenarioMatrix, matrix_from_axes, register_matrix
-from repro.experiments.results import SweepResult
+from repro.results import SweepResult
 from repro.experiments.sweep import run_matrix
 
 

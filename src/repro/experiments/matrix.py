@@ -54,11 +54,17 @@ _OPTION_AXES = ("workload_options", "placement_options", "protocol_options")
 
 
 def _format_axis_value(value) -> str:
-    """Stable textual form of an axis value for job keys."""
+    """Stable textual form of an axis value for job keys.
+
+    Numbers render with ``%g`` (``12.5``, ``64``) whenever that is exact;
+    otherwise ``%g`` would round (``1000001`` -> ``1e+06``) and two values
+    would share a key, so the exact ``repr`` is used instead.
+    """
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, (int, float)):
-        return f"{value:g}"
+        text = f"{value:g}"
+        return text if float(text) == value else repr(value)
     return str(value)
 
 
@@ -202,8 +208,14 @@ class ScenarioMatrix:
         return total * len(list(self.protocols))
 
     def expand(self) -> List[SweepJob]:
-        """Expand the grid into independent, seed-derived jobs."""
+        """Expand the grid into independent, seed-derived jobs.
+
+        Raises:
+            ValueError: When two jobs would share a key (e.g. a repeated axis
+                value or protocol); keys address results and derive seeds.
+        """
         jobs: List[SweepJob] = []
+        keys = set()
         primary = self.parameter
         for point in self.grid_points():
             config_overrides = {
@@ -214,6 +226,11 @@ class ScenarioMatrix:
             for protocol in self.protocols:
                 index = len(jobs)
                 key = self._job_key(point, protocol)
+                if key in keys:
+                    raise ValueError(
+                        f"matrix {self.name!r} expands two jobs to the key {key!r}"
+                    )
+                keys.add(key)
                 config = self.base_config.with_overrides(**config_overrides)
                 if self.seed_policy == "spawn":
                     config = replace(
@@ -252,7 +269,7 @@ class ScenarioMatrix:
         point = point or {}
         # Jobs are materialised from the canonical serialized-spec payload —
         # the same dictionary layout `repro run --spec` consumes and the
-        # result cache hashes — so any registered workload/placement plugin
+        # spec fingerprint hashes — so any registered workload/placement plugin
         # is sweepable and the payload is validated on the way in.  Spec-level
         # axes override the matrix-wide selectors; dotted option axes merge
         # into the corresponding options dictionary.

@@ -9,7 +9,7 @@ Specs round-trip losslessly through plain dictionaries and JSON
 (:meth:`ScenarioSpec.to_dict` / :meth:`ScenarioSpec.from_dict`), with a
 schema version and unknown-key rejection.  That canonical serialization is
 the single configuration format shared by the CLI (``repro run --spec``),
-the content-addressed result cache and the scenario-matrix job expansion.
+the spec fingerprint and the scenario-matrix job expansion.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.experiments.config import (
 #:
 #: * 1 — first canonical layout (PR 2).
 #: * 2 — the spec gained free-form ``labels`` (fleet/report provenance);
-#:   bumped together with ``CACHE_SCHEMA_VERSION`` 2→3 per the ROADMAP's
+#:   bumped together with ``FINGERPRINT_SCHEMA_VERSION`` 2→3 per the ROADMAP's
 #:   serialized-layout policy.  v1 spec files need ``"schema_version": 2``
 #:   and (optionally) a ``"labels": {}`` entry.
 SPEC_SCHEMA_VERSION = 2
@@ -64,7 +64,7 @@ class ScenarioSpec:
         labels: Free-form, JSON-native provenance metadata (e.g. a fleet
             name, a ticket id, experiment tags).  Labels do not influence the
             simulation, but they are part of the canonical serialization —
-            and therefore of the cache fingerprint — and are queryable
+            and therefore of the spec fingerprint — and are queryable
             through :meth:`repro.results.RunStore.query`.
         charge_initial_routing: Charge the energy of the very first routing
             table construction to SPMS (the paper only charges re-executions
@@ -95,7 +95,7 @@ class ScenarioSpec:
         """Canonical, JSON-safe dictionary representation.
 
         The layout is versioned (:data:`SPEC_SCHEMA_VERSION`) and is the
-        single source for CLI spec files, result-cache keys and matrix job
+        single source for CLI spec files, spec fingerprints and matrix job
         payloads.
         """
         return {

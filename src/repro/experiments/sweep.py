@@ -8,9 +8,9 @@ jobs, and executed by :func:`~repro.experiments.executor.execute_jobs` —
 serially or across a worker pool, with identical results either way.
 
 :func:`sweep_nodes` and :func:`sweep_radius` keep their historical signatures
-(plus ``workers``/``cache``/``resume``) and their historical semantics: every
-grid point reuses the base configuration's seed (``seed_policy="shared"``),
-exactly as the paper's figures did before the matrix subsystem existed.
+(plus ``workers``) and their historical semantics: every grid point reuses
+the base configuration's seed (``seed_policy="shared"``), exactly as the
+paper's figures did before the matrix subsystem existed.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.experiments.config import FailureConfig, MobilityConfig, SimulationCo
 from repro.experiments.executor import ExecutionReport, assemble_sweep, execute_jobs
 from repro.experiments.matrix import ScenarioMatrix, matrix_from_axes
 from repro.experiments.scenarios import ScenarioSpec, all_to_all_scenario, cluster_scenario
-from repro.results import ResultCache, RunStore, SweepResult
+from repro.results import RunStore, SweepResult
 
 ScenarioFactory = Callable[[str, SimulationConfig], ScenarioSpec]
 
@@ -29,7 +29,6 @@ ScenarioFactory = Callable[[str, SimulationConfig], ScenarioSpec]
 def run_matrix(
     matrix: ScenarioMatrix,
     workers: int = 1,
-    cache: Optional[ResultCache] = None,
     resume: bool = False,
     progress=None,
     store: Optional[RunStore] = None,
@@ -38,12 +37,12 @@ def run_matrix(
 
     Returns ``(sweep, report)``; the sweep's rows follow the matrix expansion
     order regardless of the order in which workers finished.  When *store*
-    is given, every completed record is appended to the run directory.
+    is given, every completed record is appended to the run directory, and
+    *resume* serves jobs already stored there.
     """
     jobs = matrix.expand()
     records, report = execute_jobs(
-        jobs, workers=workers, cache=cache, resume=resume, progress=progress,
-        store=store,
+        jobs, workers=workers, resume=resume, progress=progress, store=store
     )
     return assemble_sweep(jobs, records), report
 
@@ -109,8 +108,6 @@ def _legacy_sweep(
     mobility: Optional[MobilityConfig],
     scenario_factory: Optional[ScenarioFactory],
     workers: int,
-    cache: Optional[ResultCache],
-    resume: bool,
     workload_options: Dict[str, object],
     placement: str = "grid",
 ) -> SweepResult:
@@ -130,7 +127,7 @@ def _legacy_sweep(
         seed_policy="shared",
         scenario_factory=factory,
     )
-    sweep, _report = run_matrix(matrix, workers=workers, cache=cache, resume=resume)
+    sweep, _report = run_matrix(matrix, workers=workers)
     return sweep
 
 
@@ -143,8 +140,6 @@ def sweep_nodes(
     mobility: Optional[MobilityConfig] = None,
     scenario_factory: Optional[ScenarioFactory] = None,
     workers: int = 1,
-    cache: Optional[ResultCache] = None,
-    resume: bool = False,
     placement: str = "grid",
     **workload_options,
 ) -> SweepResult:
@@ -159,8 +154,6 @@ def sweep_nodes(
         mobility: Step mobility or ``None``.
         scenario_factory: Custom scenario builder overriding the defaults.
         workers: Worker processes (1 = serial; results identical either way).
-        cache: Optional content-addressed result cache.
-        resume: Serve already-cached jobs from *cache* instead of re-running.
         **workload_options: Forwarded to the workload constructor.
     """
     return _legacy_sweep(
@@ -174,8 +167,6 @@ def sweep_nodes(
         mobility,
         scenario_factory,
         workers,
-        cache,
-        resume,
         workload_options,
         placement=placement,
     )
@@ -190,8 +181,6 @@ def sweep_radius(
     mobility: Optional[MobilityConfig] = None,
     scenario_factory: Optional[ScenarioFactory] = None,
     workers: int = 1,
-    cache: Optional[ResultCache] = None,
-    resume: bool = False,
     placement: str = "grid",
     **workload_options,
 ) -> SweepResult:
@@ -207,8 +196,6 @@ def sweep_radius(
         mobility,
         scenario_factory,
         workers,
-        cache,
-        resume,
         workload_options,
         placement=placement,
     )

@@ -10,17 +10,12 @@ Everything a run produces flows through one canonical, schema-versioned type:
   :mod:`repro.metrics.summary`, re-exported here).
 * :class:`RunStore` — a run directory of sharded JSONL record logs with
   ``query(protocol=..., metric=...)`` and optional lazy raw-metrics blobs.
-* :class:`ResultCache` — the content-addressed random-access companion
-  (``--resume``), keyed by :func:`spec_fingerprint`.
+  ``--resume`` serves jobs from it by :func:`spec_fingerprint`.
 * :class:`ScenarioResult` / :class:`SweepResult` — thin flat/tabular views
   kept for the historical API surface.
-
-``repro.experiments.results`` re-exports these names for backwards
-compatibility; new code should import from :mod:`repro.results`.
 """
 
 from repro.metrics.summary import DistributionSummary, MetricsSummary
-from repro.results.cache import CACHE_SCHEMA_VERSION, ResultCache, spec_fingerprint
 from repro.results.failures import (
     ATTEMPT_OUTCOMES,
     FAILURE_SCHEMA_KEY,
@@ -32,30 +27,29 @@ from repro.results.failures import (
 from repro.results.legacy import ScenarioResult, SweepResult
 from repro.results.record import (
     CANONICAL_SCHEMA_VERSION,
+    FINGERPRINT_SCHEMA_VERSION,
     RECORD_SCHEMA_KEY,
     RESULTS_SCHEMA_VERSION,
-    SUPPORTED_RESULTS_SCHEMA_VERSIONS,
     RecordValidationError,
     RunRecord,
+    spec_fingerprint,
 )
 from repro.results.store import RunStore, RunStoreError
 
 __all__ = [
     "ATTEMPT_OUTCOMES",
-    "CACHE_SCHEMA_VERSION",
     "CANONICAL_SCHEMA_VERSION",
     "DistributionSummary",
     "FAILURE_SCHEMA_KEY",
     "FAILURE_SCHEMA_VERSION",
+    "FINGERPRINT_SCHEMA_VERSION",
     "FailureValidationError",
     "JobAttempt",
     "JobFailure",
     "MetricsSummary",
     "RECORD_SCHEMA_KEY",
     "RESULTS_SCHEMA_VERSION",
-    "SUPPORTED_RESULTS_SCHEMA_VERSIONS",
     "RecordValidationError",
-    "ResultCache",
     "RunRecord",
     "RunStore",
     "RunStoreError",

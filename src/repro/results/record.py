@@ -5,8 +5,9 @@ completed simulation run: provenance (job key, spec fingerprint, seed, grid
 coordinates), a compact :class:`~repro.metrics.summary.MetricsSummary`, the
 routing/fault bookkeeping and the measured wall time.  Every producer (the
 runner, the executor workers) emits RunRecords and every consumer (sweeps,
-stores, caches, reports, figures) reads them; the historical
-``ScenarioResult`` is a thin flat view derived from a record.
+stores, reports, figures) reads them; the historical ``ScenarioResult`` is
+a thin flat view derived from a record.  :func:`spec_fingerprint` is the
+content hash every record carries and resume matches on.
 
 Records round-trip losslessly through JSON (:meth:`RunRecord.to_dict` /
 :meth:`RunRecord.from_dict`) with unknown-key and bad-version rejection.
@@ -18,6 +19,7 @@ record — everything except the measured wall time and the raw-blob reference
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
@@ -25,20 +27,15 @@ from typing import Any, Dict, Mapping, Optional
 from repro.metrics.summary import MetricsSummary
 
 #: Version of the serialized run-record / run-store schema.  Bumped whenever
-#: the serialized layout changes; writes always emit this version.  History:
+#: the serialized layout changes; writes emit this version and reads accept
+#: only this version.  History:
 #:
 #: * 1 — initial canonical record; stores kept the fingerprint index inside
 #:   ``manifest.json`` and keyed raw blobs by spec fingerprint.
 #: * 2 — store layout rework: append-only ``index.jsonl`` sidecar index,
 #:   advisory append locking, torn-tail quarantine, raw blobs keyed by the
-#:   record key.  The record *field set* is unchanged, so v1 records load
-#:   transparently (see :data:`SUPPORTED_RESULTS_SCHEMA_VERSIONS`).
+#:   record key.  v1 manifests and record lines are rejected.
 RESULTS_SCHEMA_VERSION = 2
-
-#: Serialized versions :meth:`RunRecord.from_dict` accepts.  v1 is readable
-#: because v2 changed only the surrounding store layout, not the record
-#: fields — migrated legacy shards (and old cache entries) keep loading.
-SUPPORTED_RESULTS_SCHEMA_VERSIONS = (1, 2)
 
 #: Version stamped into :meth:`RunRecord.canonical_dict`.  The canonical
 #: rendering is the byte-identity contract — ``repro bench --compare``
@@ -51,6 +48,17 @@ CANONICAL_SCHEMA_VERSION = 1
 #: Key carrying the schema version in serialized records.
 RECORD_SCHEMA_KEY = "schema_version"
 
+#: Version hashed into every :func:`spec_fingerprint`, and therefore part of
+#: every record's canonical bytes.  Bumping it changes every fingerprint, so
+#: no stored record matches a resumed job any more.  History:
+#:
+#: * 1 — ``dataclasses.asdict`` rendering of the spec.
+#: * 2 — canonical :meth:`ScenarioSpec.to_dict` rendering (the spec gained
+#:   ``placement``/``placement_options``, the configs gained ``model``/
+#:   ``contention`` component selectors).
+#: * 3 — spec schema v2 (the spec gained free-form ``labels``).
+FINGERPRINT_SCHEMA_VERSION = 3
+
 #: Fields excluded from :meth:`RunRecord.canonical_dict`: they describe the
 #: *execution* (how long it took, where the raw blob landed), not the result,
 #: and legitimately differ between byte-identical runs.
@@ -59,6 +67,26 @@ VOLATILE_FIELDS = ("wall_time_s", "raw_ref")
 
 class RecordValidationError(ValueError):
     """A serialized run record failed validation."""
+
+
+def spec_fingerprint(spec) -> str:
+    """Content hash (hex SHA-256) identifying a scenario spec.
+
+    The fingerprint is the canonical serialized form of the spec
+    (:meth:`ScenarioSpec.to_dict` — protocol, workload/placement and their
+    options, the full :class:`SimulationConfig` including the seed, and the
+    failure/mobility parameters) rendered as canonical JSON — the same
+    dictionary layout ``repro run --spec`` consumes.  Values that are not
+    JSON-native (e.g. custom workload objects) fall back to ``repr``, which
+    keeps the key deterministic as long as the object's repr is.
+    """
+    payload = spec.to_dict() if hasattr(spec, "to_dict") else dataclasses.asdict(spec)
+    description = {
+        "schema": FINGERPRINT_SCHEMA_VERSION,
+        "spec": payload,
+    }
+    text = json.dumps(description, sort_keys=True, default=repr)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -70,7 +98,7 @@ class RunRecord:
         protocol: Protocol that ran ("spms", "spin", ...).
         scenario: Scenario name (provenance in reports).
         spec_fingerprint: Content hash of the run's full scenario spec
-            (:func:`repro.results.cache.spec_fingerprint`).
+            (:func:`spec_fingerprint`).
         seed: The master seed the run used.
         num_nodes: Number of nodes simulated.
         transmission_radius_m: Maximum transmission radius used.
@@ -187,11 +215,10 @@ class RunRecord:
             )
         payload = dict(data)
         version = payload.pop(RECORD_SCHEMA_KEY, None)
-        if version not in SUPPORTED_RESULTS_SCHEMA_VERSIONS:
+        if version != RESULTS_SCHEMA_VERSION:
             raise RecordValidationError(
                 f"unsupported run-record schema version {version!r}; "
-                f"this build reads versions "
-                f"{sorted(SUPPORTED_RESULTS_SCHEMA_VERSIONS)}"
+                f"this build reads version {RESULTS_SCHEMA_VERSION}"
             )
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(payload) - known)

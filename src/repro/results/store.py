@@ -38,10 +38,9 @@ demand.
 after the record itself, so fingerprint-keyed reads
 (:meth:`RunStore.records_by_fingerprint`, ``query(spec_fingerprint=...)``)
 seek straight to the matching shard lines.  Because the index is itself an
-append-only log, each append is O(1) amortized — earlier layouts kept the
-index inside ``manifest.json`` and atomically rewrote the whole manifest on
-every append, making appends O(records) and letting concurrent writers
-clobber each other's index.
+append-only log, each append is O(1) amortized.  A store without
+``index.jsonl`` (it was deleted) is still readable — fingerprint reads fall
+back to scanning the shards — and the next locked append rebuilds it.
 
 **Concurrency.**  Appends take an exclusive advisory lock
 (``fcntl.flock`` on ``<root>/.lock``) and re-validate the cached tail state
@@ -60,11 +59,9 @@ kill *between* the shard append and the index append leaves the sidecar one
 entry short; recovery rebuilds the missing index tail by scanning only the
 last shard.  Plain reads simply skip a torn final line.
 
-**Legacy stores.**  Stores written under schema v1 — manifest-embedded
-fingerprint index, or no index at all — stay fully readable.  They are
-migrated on first write: the complete sidecar is rebuilt with a one-shot
-scan of every shard and the manifest is rewritten at the current version
-without the embedded index (see the README migration notes).
+Manifests and record lines must carry exactly
+:data:`~repro.results.record.RESULTS_SCHEMA_VERSION`; a store written under
+any other version fails loudly rather than being half-read.
 """
 
 from __future__ import annotations
@@ -85,7 +82,6 @@ from repro.results.failures import FailureValidationError, JobFailure
 from repro.results.record import (
     RECORD_SCHEMA_KEY,
     RESULTS_SCHEMA_VERSION,
-    SUPPORTED_RESULTS_SCHEMA_VERSIONS,
     RecordValidationError,
     RunRecord,
 )
@@ -100,11 +96,6 @@ FAILURES_NAME = "failures.jsonl"
 #: Suffix of quarantine files holding torn write tails (partial lines left by
 #: a killed writer), next to the shard they were recovered from.
 PARTIAL_SUFFIX = ".partial"
-
-#: Manifest key of the legacy (schema v1) ``spec_fingerprint ->
-#: [[shard, byte offset], ...]`` manifest-embedded index.  Never written
-#: anymore; still honoured for reads of unmigrated v1 stores.
-INDEX_KEY = "fingerprint_index"
 
 _SHARD_STEM = re.compile(r"records-(\d+)$")
 _RAW_UNSAFE = re.compile(r"[^A-Za-z0-9._-]+")
@@ -171,9 +162,6 @@ class RunStore:
         self._index: Optional[Dict[str, List[List[int]]]] = None
         self._index_bytes = 0
         self._last_indexed: Optional[Tuple[int, int]] = None
-        # Legacy manifest-embedded index (schema v1 stores, read-only path).
-        self._manifest_index: Optional[Dict[str, List[List[int]]]] = None
-        self._manifest_index_loaded = False
 
     # ------------------------------------------------------------- layout
 
@@ -227,18 +215,16 @@ class RunStore:
         except ValueError as exc:
             raise RunStoreError(f"unreadable manifest {manifest_path}: {exc}") from exc
         version = manifest.get(RECORD_SCHEMA_KEY)
-        if version not in SUPPORTED_RESULTS_SCHEMA_VERSIONS:
+        if version != RESULTS_SCHEMA_VERSION:
             raise RunStoreError(
                 f"run store {self.root} was written under record schema "
-                f"{version!r}; this build reads "
-                f"{sorted(SUPPORTED_RESULTS_SCHEMA_VERSIONS)}"
+                f"{version!r}; this build reads version {RESULTS_SCHEMA_VERSION}"
             )
         return manifest
 
     def _write_manifest(self) -> None:
         # Atomic replace so a kill mid-write never leaves a truncated
-        # manifest.  Written once per store (plus once more when migrating a
-        # legacy layout) — never on the append path.
+        # manifest.  Written once per store — never on the append path.
         payload: Dict[str, object] = {
             RECORD_SCHEMA_KEY: RESULTS_SCHEMA_VERSION,
             "records_per_shard": self.records_per_shard,
@@ -337,10 +323,11 @@ class RunStore:
         self._last_indexed = (shard, offset)
 
     def _rebuild_sidecar(self) -> None:
-        """One-shot full index rebuild by scanning every shard (migration).
+        """Write the complete index by scanning every shard.  Locked only.
 
-        Written atomically (temp file + rename) so a kill mid-migration
-        leaves no index at all — the next writer simply migrates again.
+        Creates the index of a fresh store and rebuilds a deleted one.
+        Written atomically (temp file + rename) so a kill mid-rebuild leaves
+        no index at all — the next writer simply rebuilds again.
         """
         entries: List[str] = []
         index: Dict[str, List[List[int]]] = {}
@@ -408,20 +395,10 @@ class RunStore:
 
     def _load_index_for_read(self) -> Optional[Dict[str, List[List[int]]]]:
         """The fingerprint index for reads (``None`` = fall back to scans)."""
-        if self.index_path.is_file():
-            self._refresh_index()
-            return self._index
-        if not self._manifest_index_loaded:
-            manifest = self._read_manifest()
-            legacy = manifest.get(INDEX_KEY) if manifest else None
-            self._manifest_index = (
-                {str(fp): [[int(s), int(o)] for s, o in locations]
-                 for fp, locations in legacy.items()}
-                if isinstance(legacy, dict)
-                else None
-            )
-            self._manifest_index_loaded = True
-        return self._manifest_index
+        if not self.index_path.is_file():
+            return None
+        self._refresh_index()
+        return self._index
 
     # ---------------------------------------------------- crash recovery
 
@@ -462,11 +439,11 @@ class RunStore:
         self._tail_count, self._tail_size = count, size
 
     def _prepare_append(self) -> None:
-        """One-time (per process) open-for-append: recover, migrate, locate.
+        """One-time (per process) open-for-append: recover, index, locate.
 
-        Runs under the lock.  Quarantines a torn shard tail, loads or — for
-        legacy stores — rebuilds the sidecar index, repairs a missing index
-        tail, and brings the manifest to the current schema.
+        Runs under the lock.  Quarantines a torn shard tail, loads the
+        sidecar index (or builds it when absent), repairs a missing index
+        tail, and writes the manifest of a new store.
         """
         if self._append_ready:
             return
@@ -477,16 +454,11 @@ class RunStore:
             self._refresh_index()
             self._repair_torn_index_tail()
         else:
-            # Legacy store (manifest-embedded index or none at all) or a
-            # deleted sidecar: rebuild the complete index in one shot.
+            # A new store or a deleted sidecar: build the complete index.
             self._rebuild_sidecar()
         self._locate_tail()
         self._repair_index_tail()
-        if (
-            manifest is None
-            or manifest.get(RECORD_SCHEMA_KEY) != RESULTS_SCHEMA_VERSION
-            or INDEX_KEY in manifest
-        ):
+        if manifest is None:
             self._write_manifest()
         self._append_ready = True
 
@@ -661,7 +633,7 @@ class RunStore:
         """Every record whose spec fingerprint is *fingerprint*.
 
         Indexed stores seek straight to the matching shard lines (the shards
-        are never scanned); legacy stores without either index fall back to
+        are never scanned); a store without ``index.jsonl`` falls back to
         streaming every shard.
         """
         index = self._load_index_for_read()
@@ -747,8 +719,6 @@ class RunStore:
         """The raw-metrics blob referenced by *record*, or ``None``.
 
         Blobs are lazily loaded — nothing is read until a consumer asks.
-        Legacy fingerprint-keyed references keep resolving: the ref stored on
-        the record is the path that gets read.
         """
         if record.raw_ref is None:
             return None

@@ -1,11 +1,11 @@
-"""Tests for the protocol factory."""
+"""Tests for constructing protocol nodes through the component registry."""
 
 import pytest
 
+from repro.build import PROTOCOL, available, default_registry, normalize_protocol_name
 from repro.core.flooding import FloodingNode
 from repro.core.gossip import GossipNode
 from repro.core.interests import AllInterested
-from repro.core.registry import available_protocols, create_protocol_node, normalize_protocol_name
 from repro.core.spin import SpinNode
 from repro.core.spms import SpmsNode
 
@@ -17,9 +17,13 @@ def harness():
     return build_network(chain_positions(3, spacing=5.0))
 
 
+def create_node(protocol, *args, **kwargs):
+    return default_registry().create(PROTOCOL, protocol, *args, **kwargs)
+
+
 class TestRegistry:
     def test_available_protocols(self):
-        assert set(available_protocols()) == {"spms", "spin", "flooding", "gossip"}
+        assert set(available(PROTOCOL)) == {"spms", "spin", "flooding", "gossip"}
 
     def test_normalize_accepts_failure_prefix_and_case(self):
         assert normalize_protocol_name("F-SPMS") == "spms"
@@ -32,23 +36,23 @@ class TestRegistry:
 
     def test_create_spms_requires_routing(self, harness):
         with pytest.raises(ValueError):
-            create_protocol_node("spms", 0, harness.network, AllInterested(), routing=None)
+            create_node("spms", 0, harness.network, AllInterested(), routing=None)
 
     def test_create_each_protocol(self, harness):
         interest = AllInterested()
         # Fresh ids are unavailable (already registered) so we only construct,
         # not register — construction must not raise.
-        spms = create_protocol_node("spms", 0, harness.network, interest, routing=harness.routing)
-        spin = create_protocol_node("spin", 1, harness.network, interest)
-        flood = create_protocol_node("flooding", 2, harness.network, interest)
-        gossip = create_protocol_node("gossip", 0, harness.network, interest)
+        spms = create_node("spms", 0, harness.network, interest, routing=harness.routing)
+        spin = create_node("spin", 1, harness.network, interest)
+        flood = create_node("flooding", 2, harness.network, interest)
+        gossip = create_node("gossip", 0, harness.network, interest)
         assert isinstance(spms, SpmsNode)
         assert isinstance(spin, SpinNode)
         assert isinstance(flood, FloodingNode)
         assert isinstance(gossip, GossipNode)
 
     def test_protocol_options_forwarded(self, harness):
-        node = create_protocol_node(
+        node = create_node(
             "spms",
             0,
             harness.network,

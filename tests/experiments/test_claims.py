@@ -11,7 +11,7 @@ from repro.experiments.claims import (
     evaluate_headline_claims,
     format_claims,
 )
-from repro.experiments.results import ScenarioResult, SweepResult
+from repro.results import ScenarioResult, SweepResult
 
 
 def result(protocol, energy, delay):

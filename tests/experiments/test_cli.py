@@ -8,12 +8,19 @@ import pytest
 from repro.cli import ANALYTICAL_FIGURES, SIMULATED_FIGURES, build_parser, main
 from repro.experiments import figures
 from repro.experiments.figures import FigureScale
+from repro.results import RunStore
 
 
 @pytest.fixture
 def capture():
     lines = []
     return lines, lines.append
+
+
+def _sweep_table(lines):
+    """The metric table ``repro sweep`` prints between two blank lines."""
+    start = lines.index("") + 1
+    return lines[start:lines.index("", start)]
 
 
 class TestParser:
@@ -99,37 +106,42 @@ class TestSweepCommand:
     def test_sweep_runs_tiny_grid(self, capture, monkeypatch, tmp_path):
         lines, out = capture
         tiny = FigureScale(
-            node_counts=(9,),
+            node_counts=(4, 9, 16, 25, 36),
             radii_m=(10.0,),
             fixed_num_nodes=9,
             packets_per_node=1,
             arrival_mean_interarrival_ms=5.0,
         )
         monkeypatch.setattr(figures, "bench_scale", lambda: tiny)
-        cache_dir = tmp_path / "cache"
+        run_dir = tmp_path / "run"
         code = main(
-            ["sweep", "fig06", "--workers", "1", "--cache-dir", str(cache_dir)],
+            ["sweep", "fig06", "--workers", "1", "--run-dir", str(run_dir)],
             out=out,
         )
         assert code == 0
         text = "\n".join(lines)
-        assert "sweep fig06: 2 jobs" in text
+        assert "sweep fig06: 10 jobs" in text
         assert "spms" in text and "spin" in text
-        assert "2 simulated, 0 from cache" in text
+        assert "10 simulated, 0 from cache" in text
         assert "aggregate:" in text
+        first = [record.canonical_json() for record in RunStore(run_dir).records()]
 
-        # Resuming from the cache re-simulates nothing and prints the same table.
+        # Resuming from the run directory re-simulates nothing, prints the
+        # same table and appends nothing.
+        table = _sweep_table(lines)
         lines.clear()
         code = main(
-            ["sweep", "fig06", "--cache-dir", str(cache_dir), "--resume"], out=out
+            ["sweep", "fig06", "--run-dir", str(run_dir), "--resume"], out=out
         )
         assert code == 0
-        assert "0 simulated, 2 from cache" in "\n".join(lines)
+        assert "0 simulated, 10 from cache" in "\n".join(lines)
+        assert _sweep_table(lines) == table
+        assert [r.canonical_json() for r in RunStore(run_dir).records()] == first
 
-    def test_sweep_resume_requires_cache_dir(self, capture):
+    def test_sweep_resume_requires_run_dir(self, capture):
         lines, out = capture
         assert main(["sweep", "fig06", "--resume"], out=out) == 2
-        assert any("--cache-dir" in line for line in lines)
+        assert any("--run-dir" in line for line in lines)
 
 
 class TestListCommand:

@@ -1,4 +1,4 @@
-"""Tests for the parallel job executor and the content-addressed result cache."""
+"""Tests for the parallel job executor and resuming from a run directory."""
 
 import json
 
@@ -16,7 +16,7 @@ from repro.experiments.executor import (
     stream_jobs,
 )
 from repro.experiments.matrix import matrix_from_axes
-from repro.results import ResultCache, RunRecord, RunStore, spec_fingerprint
+from repro.results import RunRecord, RunStore, spec_fingerprint
 
 
 @pytest.fixture
@@ -112,64 +112,27 @@ class TestStreaming:
         assert [r.key for r in stored] == [c.job.key for c in completions]
         assert stored[0].to_dict() == completions[0].record.to_dict()
 
-    def test_store_receives_cache_hits_too(self, small_matrix, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        jobs = small_matrix.expand()
-        list(stream_jobs(jobs, cache=cache))
+
+class TestResume:
+    def test_resume_serves_stored_jobs_without_duplicating(self, small_matrix, tmp_path):
         store = RunStore(tmp_path / "run")
-        completions = list(stream_jobs(jobs, cache=cache, resume=True, store=store))
-        assert all(c.from_cache for c in completions)
-        assert len(list(store.records())) == len(jobs)
-
-    def test_cache_hits_are_restamped_with_the_requesting_job(self, small_matrix, tmp_path):
-        # Two matrices can share cache entries (the fingerprint hashes the
-        # spec, not the job key — under "shared" seeding identical specs can
-        # come from differently-named grids); a hit served to a different
-        # sweep must carry *that* sweep's key and axes, not the original
-        # populator's.
-        def expand(name):
-            return matrix_from_axes(
-                name,
-                "num_nodes",
-                (9, 16),
-                protocols=("spms",),
-                base_config=small_matrix.base_config,
-                seed_policy="shared",
-            ).expand()
-
-        cache = ResultCache(tmp_path / "cache")
-        jobs = expand("first-name")
-        list(stream_jobs(jobs, cache=cache))
-        renamed = expand("other-name")
-        assert [spec_fingerprint(j.spec) for j in renamed] == [
-            spec_fingerprint(j.spec) for j in jobs
-        ]
-        completions = list(stream_jobs(renamed, cache=cache, resume=True))
-        assert all(c.from_cache for c in completions)
-        for completion in completions:
-            assert completion.record.key == completion.job.key
-            assert completion.record.key.startswith("other-name/")
-            assert completion.record.axes == dict(completion.job.axes)
-
-
-class TestResultCache:
-    def test_write_through_and_resume(self, small_matrix, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
         jobs = small_matrix.expand()
-        first, report1 = execute_jobs(jobs, cache=cache)
+        first, report1 = execute_jobs(jobs, store=store)
         assert report1.executed == len(jobs)
-        assert len(cache) == len(jobs)
+        assert len(store) == len(jobs)
 
-        second, report2 = execute_jobs(jobs, cache=cache, resume=True)
+        second, report2 = execute_jobs(jobs, resume=True, store=RunStore(store.root))
         assert report2.executed == 0
         assert report2.cache_hits == len(jobs)
+        assert report2.completed == len(jobs)
         for key in first:
             assert first[key].to_json() == second[key].to_json()
+        assert len(store) == len(jobs)
 
     def test_resume_reruns_changed_specs(self, small_matrix, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        store = RunStore(tmp_path / "run")
         jobs = small_matrix.expand()
-        execute_jobs(jobs, cache=cache)
+        execute_jobs(jobs, store=store)
         reseeded = matrix_from_axes(
             "exec-test",
             "num_nodes",
@@ -177,9 +140,10 @@ class TestResultCache:
             protocols=("spms",),
             base_config=small_matrix.base_config.with_overrides(seed=10),
         ).expand()
-        _, report = execute_jobs(reseeded, cache=cache, resume=True)
+        _, report = execute_jobs(reseeded, resume=True, store=store)
         assert report.cache_hits == 0
         assert report.executed == len(reseeded)
+        assert len(store) == len(jobs) + len(reseeded)
 
     def test_fingerprint_sensitive_to_every_knob(self, small_matrix):
         job = small_matrix.expand()[0]
@@ -191,26 +155,83 @@ class TestResultCache:
         assert spec_fingerprint(other.spec) != base
         assert spec_fingerprint(job.spec) == base  # stable
 
-    def test_corrupt_entries_are_misses(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = "ab" + "0" * 62
-        path = cache.path_for(key)
-        path.parent.mkdir(parents=True)
-        path.write_text("{not json")
-        assert cache.load(key) is None
+    def test_record_stored_under_another_key_is_restamped_once(
+        self, small_matrix, tmp_path
+    ):
+        # The fingerprint hashes the spec, not the job key: under "shared"
+        # seeding two differently-named matrices expand to identical specs.
+        # A record served to the second matrix must carry *its* key and axes,
+        # and is appended once — a second resume finds it under its own key.
+        def expand(name):
+            return matrix_from_axes(
+                name,
+                "num_nodes",
+                (9, 16),
+                protocols=("spms",),
+                base_config=small_matrix.base_config,
+                seed_policy="shared",
+            ).expand()
+
+        store = RunStore(tmp_path / "run")
+        jobs = expand("first-name")
+        list(stream_jobs(jobs, store=store))
+        renamed = expand("other-name")
+        assert [spec_fingerprint(j.spec) for j in renamed] == [
+            spec_fingerprint(j.spec) for j in jobs
+        ]
+        for _ in range(2):
+            completions = list(stream_jobs(renamed, resume=True, store=store))
+            assert all(c.from_cache and c.attempts == 0 for c in completions)
+            for completion in completions:
+                assert completion.record.key == completion.job.key
+                assert completion.record.key.startswith("other-name/")
+                assert completion.record.axes == dict(completion.job.axes)
+            assert len(store) == 2 * len(jobs)
+        stored = {record.key: record for record in store.records()}
+        for original, restamped in zip(jobs, renamed):
+            assert stored[restamped.key].summary == stored[original.key].summary
+
+    def test_corrupt_entries_are_misses(self, small_matrix, tmp_path):
+        # A writer killed mid-append leaves a torn final shard line and no
+        # index entry for it: that job is not served on resume but re-run,
+        # and the torn tail is quarantined rather than counted.
+        store = RunStore(tmp_path / "run")
+        jobs = small_matrix.expand()
+        first, _ = execute_jobs(jobs, store=store)
+        (shard,) = store.shard_paths()
+        lines = shard.read_bytes().splitlines(keepends=True)
+        shard.write_bytes(b"".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+        index_lines = store.index_path.read_bytes().splitlines(keepends=True)
+        store.index_path.write_bytes(b"".join(index_lines[:-1]))
+
+        resumed = RunStore(store.root)
+        second, report = execute_jobs(jobs, resume=True, store=resumed)
+        assert report.cache_hits == len(jobs) - 1
+        assert report.executed == 1
+        assert len(resumed) == len(jobs)
+        assert resumed.partial_paths()
+        for key in first:
+            assert first[key].canonical_json() == second[key].canonical_json()
 
     def test_round_trip_preserves_every_field(self, small_matrix, tmp_path):
-        cache = ResultCache(tmp_path)
+        store = RunStore(tmp_path / "run")
         jobs = small_matrix.expand()
-        results, _ = execute_jobs(jobs[:1], cache=cache)
-        stored = cache.load(spec_fingerprint(jobs[0].spec))
+        results, _ = execute_jobs(jobs[:1], store=store)
+        (stored,) = store.records_by_fingerprint(spec_fingerprint(jobs[0].spec))
         original = results[jobs[0].key]
         assert isinstance(stored, RunRecord)
         assert stored.to_dict() == original.to_dict()
-        # Entries are valid, human-inspectable JSON with spec provenance.
-        payload = json.loads(cache.path_for(spec_fingerprint(jobs[0].spec)).read_text())
-        assert payload["spec"]["protocol"] == "spms"
-        assert payload["record"]["summary"]["items_generated"] > 0
+        # Shard lines are valid, human-inspectable JSON with spec provenance.
+        (line,) = store.shard_paths()[0].read_text().splitlines()
+        payload = json.loads(line)
+        assert payload["spec_fingerprint"] == spec_fingerprint(jobs[0].spec)
+        assert payload["summary"]["items_generated"] > 0
+
+    def test_resume_without_a_store_raises(self, small_matrix):
+        with pytest.raises(ValueError, match="store"):
+            list(stream_jobs(small_matrix.expand(), resume=True))
+        with pytest.raises(ValueError, match="store"):
+            execute_jobs(small_matrix.expand(), resume=True)
 
 
 class TestSeriesLabels:

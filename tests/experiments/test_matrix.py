@@ -106,6 +106,36 @@ class TestExpansion:
         with pytest.raises(ValueError, match="protocol"):
             ScenarioMatrix(name="m", axes={"num_nodes": (9,)}, protocols=())
 
+    def test_large_axis_values_get_distinct_keys(self, base_config):
+        # `%g` alone renders both seeds as `1e+06`, colliding their keys.
+        matrix = matrix_from_axes(
+            "m", "seed", (1000000, 1000001), protocols=("spms",), base_config=base_config
+        )
+        assert [j.key for j in matrix.expand()] == [
+            "m/seed=1e+06/spms",
+            "m/seed=1000001/spms",
+        ]
+
+    def test_exact_g_keys_are_unchanged(self, base_config):
+        matrix = matrix_from_axes(
+            "m",
+            "transmission_radius_m",
+            (12.5, 10.0),
+            protocols=("spms",),
+            base_config=base_config,
+        )
+        assert [j.key for j in matrix.expand()] == [
+            "m/transmission_radius_m=12.5/spms",
+            "m/transmission_radius_m=10/spms",
+        ]
+
+    def test_colliding_keys_rejected(self, base_config):
+        matrix = matrix_from_axes(
+            "m", "num_nodes", (9, 9.0), protocols=("spms",), base_config=base_config
+        )
+        with pytest.raises(ValueError, match="'m/num_nodes=9/spms'"):
+            matrix.expand()
+
 
 class TestNonConfigAxes:
     def test_placement_axis_overrides_the_spec_selector(self, base_config):

@@ -6,13 +6,13 @@ Three guarantees are pinned here:
   arbitrary (hypothesis-generated) specs, and likewise through JSON text.
 * **Validation** — unknown keys at any level and bad schema versions are
   rejected with :class:`SpecValidationError`.
-* **Cache-key stability** — the content-addressed cache keys of the
-  registered figure matrices are pinned to literal hashes, so an accidental
-  change to the serialized layout (which would silently orphan every cached
-  sweep result) fails loudly.  The migration to spec schema v2 (``labels``)
-  plus RunRecord cache payloads was itself a *deliberate* one-shot
-  invalidation, recorded as ``CACHE_SCHEMA_VERSION = 3`` in
-  :mod:`repro.results.cache`.
+* **Fingerprint stability** — the spec fingerprints of the registered
+  figure matrices are pinned to literal hashes, so an accidental change to
+  the serialized layout (which would move every record's canonical bytes and
+  stop ``--resume`` from matching any stored record) fails loudly.  The
+  migration to spec schema v2 (``labels``) was itself a *deliberate*
+  one-shot change, recorded as ``FINGERPRINT_SCHEMA_VERSION = 3`` in
+  :mod:`repro.results.record`.
 """
 
 import json
@@ -28,7 +28,7 @@ from repro.experiments.config import (
     SpecValidationError,
 )
 from repro.experiments.matrix import get_matrix
-from repro.results import CACHE_SCHEMA_VERSION, spec_fingerprint
+from repro.results import FINGERPRINT_SCHEMA_VERSION, spec_fingerprint
 from repro.experiments.scenarios import (
     SCHEMA_KEY,
     SPEC_SCHEMA_VERSION,
@@ -196,7 +196,7 @@ class TestValidation:
     def test_schema_version_is_two(self):
         # Bumping the schema version is an API break for on-disk spec files;
         # this pin makes the bump a conscious, reviewed act.  v1 -> v2 added
-        # the `labels` field (together with CACHE_SCHEMA_VERSION 2 -> 3).
+        # the `labels` field (together with FINGERPRINT_SCHEMA_VERSION 2 -> 3).
         assert SPEC_SCHEMA_VERSION == 2
 
     def test_unknown_labels_shape_rejected(self):
@@ -205,16 +205,16 @@ class TestValidation:
 
 
 class TestCacheKeyStability:
-    """Pin the content-addressed cache keys of the registered matrices.
+    """Pin the spec fingerprints (resume keys) of the registered matrices.
 
     These hashes cover the full canonical spec serialization (every config
-    field, the placement, the component selectors and the cache schema
+    field, the placement, the component selectors and the fingerprint schema
     version).  If this test fails, either revert the layout change or bump
-    ``CACHE_SCHEMA_VERSION`` (a deliberate fleet-wide cache invalidation)
-    and re-pin.
+    ``FINGERPRINT_SCHEMA_VERSION`` (a deliberate change of every record's
+    canonical bytes) and re-pin.
     """
 
-    #: (matrix, job key) -> expected fingerprint under CACHE_SCHEMA_VERSION 3.
+    #: (matrix, job key) -> expected fingerprint under FINGERPRINT_SCHEMA_VERSION 3.
     PINNED = {
         ("fig06", "fig06/num_nodes=16/spms"): "68e9bd607b22625e6d38d0c118d0f7cf68d5db3f3787b83ad3ed52c6c495e994",
         ("fig06", "fig06/num_nodes=16/spin"): "4869e45c7541b23b9b7c963b19466376a96060a98ab2014ae7ed66f777ea0252",
@@ -228,14 +228,14 @@ class TestCacheKeyStability:
         ("fig13-cluster", "fig13-cluster/transmission_radius_m=15/spin"): "cfdf8e78380481c1683fee250c73f4c8ccbea5c7d28251b6a743ba6c015caa97",
     }
 
-    def test_cache_schema_version_is_three(self):
-        assert CACHE_SCHEMA_VERSION == 3
+    def test_fingerprint_schema_version_is_three(self):
+        assert FINGERPRINT_SCHEMA_VERSION == 3
 
     def test_placement_grid_point_shares_the_single_placement_entry(self):
         # The non-config `placement` axis materialises the *same* canonical
         # spec as the single-placement fig06 matrix at the same grid point,
-        # so the two share one cache entry — sweeping a superset matrix never
-        # re-simulates what a subset sweep already cached.
+        # so the two share one fingerprint — resuming a superset matrix in the
+        # same run directory never re-simulates what a subset sweep stored.
         assert (
             self.PINNED[("fig06", "fig06/num_nodes=16/spms")]
             == self.PINNED[

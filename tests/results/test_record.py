@@ -11,7 +11,6 @@ from repro.results import (
     CANONICAL_SCHEMA_VERSION,
     RECORD_SCHEMA_KEY,
     RESULTS_SCHEMA_VERSION,
-    SUPPORTED_RESULTS_SCHEMA_VERSIONS,
     RecordValidationError,
     RunRecord,
     ScenarioResult,
@@ -114,21 +113,18 @@ class TestRoundTrip:
 
     def test_serialized_form_carries_the_schema_version(self):
         # Schema v2: the store layout rework (sidecar index, key-addressed
-        # raw blobs).  Re-pin this — and the reject list below — on the next
+        # raw blobs).  Re-pin this — and the v1 rejection below — on the next
         # layout bump, per the ROADMAP schema policy.
         assert RESULTS_SCHEMA_VERSION == 2
         assert make_record().to_dict()[RECORD_SCHEMA_KEY] == RESULTS_SCHEMA_VERSION
 
-    def test_v1_records_still_load(self):
-        # v2 changed only the store layout around records, so v1 payloads
-        # (legacy shards, old cache entries) load transparently — and
-        # re-serialize at the current version.
-        assert SUPPORTED_RESULTS_SCHEMA_VERSIONS == (1, 2)
+    def test_v1_records_are_rejected(self):
+        # Nothing writes v1 any more; a v1 line fails loudly, naming the
+        # version it carried and the one this build reads.
         payload = make_record().to_dict()
         payload[RECORD_SCHEMA_KEY] = 1
-        upgraded = RunRecord.from_dict(payload)
-        assert upgraded == make_record()
-        assert upgraded.to_dict()[RECORD_SCHEMA_KEY] == RESULTS_SCHEMA_VERSION
+        with pytest.raises(RecordValidationError, match="version 1; this build reads version 2"):
+            RunRecord.from_dict(payload)
 
 
 class TestValidation:

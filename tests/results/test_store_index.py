@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.results import RESULTS_SCHEMA_VERSION, RunStore, RunStoreError
-from repro.results.store import INDEX_KEY, INDEX_NAME, MANIFEST_NAME
+from repro.results.store import INDEX_NAME, MANIFEST_NAME
 
 from tests.results.test_record import make_record
 
@@ -51,8 +51,10 @@ class TestIndexWrites:
     def test_manifest_no_longer_embeds_the_index(self, store):
         fill(store, 3)
         manifest = json.loads((store.root / MANIFEST_NAME).read_text())
-        assert INDEX_KEY not in manifest
-        assert manifest["schema_version"] == RESULTS_SCHEMA_VERSION
+        assert manifest == {
+            "records_per_shard": 2,
+            "schema_version": RESULTS_SCHEMA_VERSION,
+        }
 
     def test_appends_never_rewrite_the_manifest(self, store):
         fill(store, 1)
@@ -120,61 +122,28 @@ class TestIndexedReads:
 
 
 class TestLegacyStores:
-    """Stores written under schema v1 stay readable and migrate on write."""
+    """A deleted sidecar or manifest is rebuilt; other schemas are refused."""
 
-    def _strip_to_v1(self, root, keep_index=True):
-        """Rewrite a freshly-written store into the v1 on-disk layout."""
-        store = RunStore(root, records_per_shard=2)
+    def test_deleted_index_is_rebuilt_on_next_append(self, store):
         fill(store, 3)
-        entries = read_sidecar(root)
-        manifest = json.loads((root / MANIFEST_NAME).read_text())
-        manifest["schema_version"] = 1
-        if keep_index:
-            index = {}
-            for entry in entries:
-                index.setdefault(entry["fingerprint"], []).append(
-                    [entry["shard"], entry["offset"]]
-                )
-            manifest[INDEX_KEY] = index
-        (root / MANIFEST_NAME).write_text(json.dumps(manifest))
-        (root / INDEX_NAME).unlink()
-        return root
-
-    def test_manifest_index_store_reads_without_migration(self, tmp_path):
-        root = self._strip_to_v1(tmp_path / "legacy", keep_index=True)
-        store = RunStore(root, records_per_shard=2)
-        (got,) = store.records_by_fingerprint(fp(1))
+        (store.root / INDEX_NAME).unlink()
+        reader = RunStore(store.root, records_per_shard=2)
+        # Reads fall back to scanning the shards and write nothing.
+        (got,) = reader.records_by_fingerprint(fp(1))
         assert got.axes == {"num_nodes": 1}
-        # Reading is read-only: no sidecar appears, the manifest stays v1.
-        assert not (root / INDEX_NAME).exists()
-        assert json.loads((root / MANIFEST_NAME).read_text())["schema_version"] == 1
-
-    def test_preindex_store_reads_fall_back_to_scanning(self, tmp_path):
-        root = self._strip_to_v1(tmp_path / "legacy", keep_index=False)
-        store = RunStore(root, records_per_shard=2)
-        (got,) = store.records_by_fingerprint(fp(1))
-        assert got.axes == {"num_nodes": 1}
-        assert len(store.query(spec_fingerprint=fp(0))) == 1
-        assert not (root / INDEX_NAME).exists()
-
-    @pytest.mark.parametrize("keep_index", (True, False))
-    def test_first_write_migrates_to_the_sidecar(self, tmp_path, keep_index):
-        root = self._strip_to_v1(tmp_path / "legacy", keep_index=keep_index)
-        store = RunStore(root, records_per_shard=2)
-        store.append(make_record(key="later", spec_fingerprint=fp(9)))
-        # The one-shot migration rebuilt the *complete* index — the three
-        # legacy records included — moved it out of the manifest, and
-        # brought the manifest to the current schema.
-        entries = read_sidecar(root)
+        assert len(reader.query(spec_fingerprint=fp(0))) == 1
+        assert not (store.root / INDEX_NAME).exists()
+        # The next locked append rebuilds the complete index.
+        reader.append(make_record(key="later", spec_fingerprint=fp(9)))
+        entries = read_sidecar(store.root)
         assert [e["fingerprint"] for e in entries] == [*(fp(i) for i in range(3)), fp(9)]
-        manifest = json.loads((root / MANIFEST_NAME).read_text())
-        assert INDEX_KEY not in manifest
-        assert manifest["schema_version"] == RESULTS_SCHEMA_VERSION
         for i in (0, 1, 2, 9):
-            (got,) = store.records_by_fingerprint(fp(i))
+            (got,) = reader.records_by_fingerprint(fp(i))
             assert got.spec_fingerprint == fp(i)
 
     def test_manifestless_directory_with_shards_migrates(self, tmp_path):
+        # A lost manifest and index: the next append rebuilds the complete
+        # index over the surviving shards and writes a current manifest.
         root = tmp_path / "run"
         store = RunStore(root, records_per_shard=2)
         fill(store, 2)
@@ -189,18 +158,16 @@ class TestLegacyStores:
             "schema_version"
         ] == RESULTS_SCHEMA_VERSION
 
-    def test_v1_record_lines_keep_loading(self, tmp_path):
-        root = tmp_path / "run"
-        store = RunStore(root, records_per_shard=2)
+    @pytest.mark.parametrize("target", ("manifest", "record"))
+    def test_v1_manifest_or_record_line_is_rejected(self, store, target):
         fill(store, 1)
-        # Rewrite the stored line as a v1 record (identical field set).
-        path = store.shard_paths()[0]
+        path = store.root / MANIFEST_NAME if target == "manifest" else store.shard_paths()[0]
         payload = json.loads(path.read_text())
         payload["schema_version"] = 1
         path.write_text(json.dumps(payload, sort_keys=True) + "\n")
-        fresh = RunStore(root, records_per_shard=2)
-        (got,) = list(fresh.records())
-        assert got.spec_fingerprint == fp(0)
-        # ...and appending after it indexes both generations.
-        fresh.append(make_record(key="later", spec_fingerprint=fp(9)))
-        assert [e["fingerprint"] for e in read_sidecar(root)] == [fp(0), fp(9)]
+        fresh = RunStore(store.root, records_per_shard=2)
+        with pytest.raises(RunStoreError, match="1; this build reads version 2"):
+            if target == "manifest":
+                fresh.append(make_record(key="later", spec_fingerprint=fp(9)))
+            else:
+                list(fresh.records())
