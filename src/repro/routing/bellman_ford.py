@@ -9,17 +9,23 @@ cost).  The computation converges when no vector changes during a round.
 Convergence rounds, messages and bytes are counted so the energy cost of route
 formation and maintenance can be charged to SPMS — this is the cost the
 mobility experiments (Figure 12) account for.
+
+The rounds run as numpy min-plus updates over the whole field, with the same
+additions and minima as per-message relaxation, and each node's routing
+table keeps its converged cost block and builds a destination's candidate
+list on first query.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Set
+
+import numpy as np
 
 from repro.radio.pathloss import pairwise_distances
 from repro.radio.power import PowerTable
-from repro.routing.table import RouteCandidate, RoutingTable
+from repro.routing.table import RoutingTable
 from repro.topology.field import SensorField
 from repro.topology.zone import ZoneMap
 
@@ -56,6 +62,10 @@ class ConvergenceStats:
         self.bytes_received += other.bytes_received
 
 
+class ConvergenceError(RuntimeError):
+    """Distance vectors were still changing when ``max_rounds`` ran out."""
+
+
 class DistributedBellmanFord:
     """Round-based distance-vector route computation.
 
@@ -86,19 +96,14 @@ class DistributedBellmanFord:
 
     # ------------------------------------------------------------------ build
 
-    def _link_cost(self, a: int, b: int) -> Optional[float]:
-        distance = self.field.distance(a, b)
-        if distance > self.power_table.max_range_m + 1e-9:
-            return None
-        return self.power_table.level_for_distance(distance).power_mw
-
     def _link_cost_matrix(self) -> tuple:
         """``(index_of_id, cost_matrix)`` for every node pair, vectorised.
 
         One pairwise-distance computation plus one vectorised power-level
-        lookup replaces the per-pair ``_link_cost`` calls of the main loop;
-        out-of-range pairs hold ``nan``.  The tolerances match the scalar
-        path exactly, so costs are bit-identical.
+        lookup gives every link cost (the minimum power level covering the
+        hop); out-of-range pairs hold ``nan``.  The tolerances match the
+        scalar :meth:`PowerTable.level_for_distance`, so costs are
+        bit-identical to per-pair lookups.
         """
         ids, positions = self.field.positions_array()
         distances = pairwise_distances(positions)
@@ -108,112 +113,81 @@ class DistributedBellmanFord:
     def compute(self) -> tuple:
         """Run the distance-vector exchange to convergence.
 
+        Each synchronous round is a min-plus update over the active nodes:
+        a node that hears at least one changed vector sets its row of the
+        distance matrix to the minimum, over its neighbours, of link cost
+        plus the neighbour's last advertised row, restricted to its zone.
+        Every node that changed broadcasts its vector in the next round;
+        messages and bytes are counted from those vectors.
+
         Returns:
             ``(tables, stats)`` where *tables* maps node id to its
             :class:`RoutingTable` and *stats* is a :class:`ConvergenceStats`.
+
+        Raises:
+            ConvergenceError: If vectors are still changing after
+                ``max_rounds`` rounds.
         """
         active = [n for n in self.field.node_ids if n not in self.exclude_nodes]
         index_of, cost_matrix = self._link_cost_matrix()
-        neighbors: Dict[int, Dict[int, float]] = {}
-        wanted: Dict[int, Set[int]] = {}
-        for node in active:
-            links = {}
-            row = cost_matrix[index_of[node]]
-            for other in self.zone_map.zone_neighbors(node):
-                if other in self.exclude_nodes:
-                    continue
-                cost = row[index_of[other]]
-                if not math.isnan(cost):
-                    links[other] = float(cost)
-            neighbors[node] = links
-            wanted[node] = set(links) | {
-                z for z in self.zone_map.zone_neighbors(node) if z not in self.exclude_nodes
-            }
+        position = {node: k for k, node in enumerate(active)}
+        count = len(active)
+        # zone[i, j]: active node j is in active node i's zone.
+        zone = np.zeros((count, count), dtype=bool)
+        for k, node in enumerate(active):
+            members = [position[z] for z in self.zone_map.zone_neighbors(node) if z in position]
+            zone[k, members] = True
+        rows = [index_of[node] for node in active]
+        link = cost_matrix[np.ix_(rows, rows)]
+        # links[i, j]: i hears j's broadcasts over a link costing link[i, j].
+        links = zone & ~np.isnan(link)
+        link = np.where(links, link, np.inf)
+        neighbors = [np.flatnonzero(row) for row in links]
+        fanout = links.sum(axis=1)
+        outside = ~zone
+        np.fill_diagonal(outside, False)
 
-        # dist[node][dest] — best known cost from node to dest.
-        dist: Dict[int, Dict[int, float]] = {
-            node: {node: 0.0, **{d: math.inf for d in wanted[node]}} for node in active
-        }
-        # via[node][dest][neighbour] — cost via that neighbour as last advertised.
-        via: Dict[int, Dict[int, Dict[int, float]]] = {
-            node: {dest: {} for dest in wanted[node]} for node in active
-        }
-
+        # dist[i, j] — best known cost from active node i to active node j.
+        dist = np.full((count, count), np.inf)
+        np.fill_diagonal(dist, 0.0)
         stats = ConvergenceStats()
-        changed = set(active)
+        changed = np.ones(count, dtype=bool)
         for _ in range(self.max_rounds):
-            if not changed:
+            if not changed.any():
                 break
             stats.rounds += 1
-            # Snapshot the vectors broadcast this round.
-            broadcasts = {node: dict(dist[node]) for node in active if node in changed}
-            for node, vector in broadcasts.items():
-                entries = sum(1 for cost in vector.values() if cost < math.inf)
-                size = VECTOR_HEADER_BYTES + VECTOR_ENTRY_BYTES * entries
-                stats.messages += 1
-                stats.bytes_sent += size
-                receivers = [r for r in neighbors[node] if r in neighbors]
-                stats.receptions += len(receivers)
-                stats.bytes_received += size * len(receivers)
-            next_changed: Set[int] = set()
-            for node in active:
-                updated = False
-                for sender, vector in broadcasts.items():
-                    if sender == node or sender not in neighbors[node]:
-                        continue
-                    link = neighbors[node][sender]
-                    for dest in wanted[node]:
-                        advertised = vector.get(dest, math.inf)
-                        candidate = link + advertised if advertised < math.inf else math.inf
-                        previous = via[node][dest].get(sender, math.inf)
-                        if candidate != previous:
-                            if candidate < math.inf:
-                                via[node][dest][sender] = candidate
-                            else:
-                                via[node][dest].pop(sender, None)
-                            updated = True
-                if updated:
-                    for dest in wanted[node]:
-                        best = min(via[node][dest].values(), default=math.inf)
-                        if dest in neighbors[node]:
-                            best = min(best, neighbors[node][dest])
-                        if best != dist[node][dest]:
-                            dist[node][dest] = best
-                            next_changed.add(node)
-            # A node whose direct links alone define routes still needs to
-            # broadcast once so neighbours learn of it; ensure the first round
-            # always happens for everyone (handled by seeding changed=active).
-            changed = next_changed
+            senders = np.flatnonzero(changed)
+            sizes = VECTOR_HEADER_BYTES + VECTOR_ENTRY_BYTES * np.isfinite(dist[senders]).sum(
+                axis=1
+            )
+            stats.messages += len(senders)
+            stats.bytes_sent += int(sizes.sum())
+            stats.receptions += int(fanout[senders].sum())
+            stats.bytes_received += int((sizes * fanout[senders]).sum())
+            updated = dist.copy()
+            # Only a node that hears a changed vector can change.
+            for k in np.flatnonzero(links[:, changed].any(axis=1)):
+                hops = neighbors[k]
+                row = (link[k, hops, None] + dist[hops]).min(axis=0)
+                row[outside[k]] = np.inf
+                row[k] = 0.0
+                updated[k] = row
+            changed = (updated != dist).any(axis=1)
+            dist = updated
+        if changed.any():
+            raise ConvergenceError(
+                f"distributed Bellman-Ford did not converge in {self.max_rounds} "
+                f"rounds: {int(changed.sum())} node(s) still changing"
+            )
 
-        tables = self._build_tables(active, neighbors, via, dist)
-        return tables, stats
-
-    def _build_tables(
-        self,
-        active,
-        neighbors: Dict[int, Dict[int, float]],
-        via: Dict[int, Dict[int, Dict[int, float]]],
-        dist: Dict[int, Dict[int, float]],
-    ) -> Dict[int, RoutingTable]:
         tables: Dict[int, RoutingTable] = {}
-        for node in active:
-            table = RoutingTable(node)
-            for dest in via[node]:
-                if dest == node:
-                    continue
-                candidates = {}
-                for neighbor, cost in via[node][dest].items():
-                    candidates[neighbor] = min(candidates.get(neighbor, math.inf), cost)
-                if dest in neighbors[node]:
-                    direct = neighbors[node][dest]
-                    candidates[dest] = min(candidates.get(dest, math.inf), direct)
-                table.set_candidates(
-                    dest,
-                    [
-                        RouteCandidate(next_hop=nh, cost=cost)
-                        for nh, cost in candidates.items()
-                        if cost < math.inf
-                    ],
-                )
-            tables[node] = table
-        return tables
+        for k, node in enumerate(active):
+            hops = neighbors[k]
+            destinations = np.flatnonzero(zone[k])
+            tables[node] = RoutingTable.from_cost_block(
+                node,
+                [active[h] for h in hops.tolist()],
+                [active[d] for d in destinations.tolist()],
+                link[k, hops, None] + dist[np.ix_(hops, destinations)],
+            )
+        return tables, stats

@@ -9,7 +9,9 @@ and the second best is the backup that tolerates one concurrent failure
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -26,11 +28,57 @@ class RouteCandidate:
 
 
 class RoutingTable:
-    """Routes from one node to every destination it maintains state for."""
+    """Routes from one node to every destination it maintains state for.
+
+    A table built by :meth:`from_cost_block` keeps the converged
+    (next hop x destination) cost block, sorted per destination, and turns
+    a destination's costs into its candidate list the first time that
+    destination is queried; later queries are one dict lookup.
+    :meth:`set_candidates` stores a list directly (the centralized oracle
+    builds tables this way).
+    """
 
     def __init__(self, owner: int) -> None:
         self.owner = owner
         self._routes: Dict[int, List[RouteCandidate]] = {}
+        # Destinations whose candidate list is not built yet -> block row.
+        self._pending: Dict[int, int] = {}
+        # One row per block destination, sorted by (cost, next hop); the
+        # first ``_counts[row]`` entries of a row are its finite candidates.
+        self._hops = np.empty((0, 0), dtype=np.int64)
+        self._costs = np.empty((0, 0))
+        self._counts: List[int] = []
+
+    @classmethod
+    def from_cost_block(
+        cls,
+        owner: int,
+        next_hops: Sequence[int],
+        destinations: Sequence[int],
+        costs: np.ndarray,
+    ) -> "RoutingTable":
+        """A table whose routes come from a cost block.
+
+        Args:
+            owner: The node the table belongs to.
+            next_hops: The owner's direct neighbours, one per block row.
+            destinations: The tracked destinations, one per block column.
+            costs: ``costs[i, j]`` is the path cost to ``destinations[j]``
+                through ``next_hops[i]``; ``inf`` where there is none.
+        """
+        if owner in destinations:
+            raise ValueError("a node does not keep a route to itself")
+        table = cls(owner)
+        by_destination = np.asarray(costs, dtype=float).T
+        hops = np.broadcast_to(np.asarray(next_hops, dtype=np.int64), by_destination.shape)
+        order = np.lexsort((hops, by_destination))
+        table._hops = np.take_along_axis(hops, order, axis=1)
+        table._costs = np.take_along_axis(by_destination, order, axis=1)
+        table._counts = np.isfinite(by_destination).sum(axis=1).tolist()
+        table._pending = {
+            destinations[row]: row for row, count in enumerate(table._counts) if count
+        }
+        return table
 
     # --------------------------------------------------------------- building
 
@@ -38,6 +86,7 @@ class RoutingTable:
         """Replace the candidate list for *destination* (sorted by cost)."""
         if destination == self.owner:
             raise ValueError("a node does not keep a route to itself")
+        self._pending.pop(destination, None)
         ordered = sorted(candidates, key=lambda c: (c.cost, c.next_hop))
         if ordered:
             self._routes[destination] = ordered
@@ -47,21 +96,41 @@ class RoutingTable:
     def clear(self) -> None:
         """Drop every route (used when the topology changes)."""
         self._routes.clear()
+        self._pending.clear()
+
+    def _load(self, destination: int) -> Optional[List[RouteCandidate]]:
+        """Build, cache and return *destination*'s list from the cost block."""
+        row = self._pending.pop(destination, None)
+        if row is None:
+            return None
+        count = self._counts[row]
+        routes = list(
+            map(
+                RouteCandidate,
+                self._hops[row, :count].tolist(),
+                self._costs[row, :count].tolist(),
+            )
+        )
+        self._routes[destination] = routes
+        return routes
 
     # ---------------------------------------------------------------- queries
 
     @property
     def destinations(self) -> Set[int]:
         """Destinations this table has at least one route for."""
-        return set(self._routes)
+        return set(self._routes) | set(self._pending)
 
     def has_route(self, destination: int) -> bool:
         """Whether any route to *destination* is known."""
-        return destination in self._routes
+        return destination in self._routes or destination in self._pending
 
     def candidates(self, destination: int) -> List[RouteCandidate]:
         """All candidate routes to *destination*, cheapest first."""
-        return list(self._routes.get(destination, []))
+        candidates = self._routes.get(destination)
+        if candidates is None:
+            candidates = self._load(destination) or []
+        return list(candidates)
 
     def best(self, destination: int) -> Optional[RouteCandidate]:
         """The cheapest route candidate to *destination*, if any.
@@ -70,6 +139,8 @@ class RoutingTable:
         hop and the cost of the primary route (SPMS advertisement handling).
         """
         candidates = self._routes.get(destination)
+        if candidates is None:
+            candidates = self._load(destination)
         return candidates[0] if candidates else None
 
     def next_hop(self, destination: int, exclude: Optional[Set[int]] = None) -> Optional[int]:
@@ -79,7 +150,9 @@ class RoutingTable:
         """
         candidates = self._routes.get(destination)
         if candidates is None:
-            return None
+            candidates = self._load(destination)
+            if candidates is None:
+                return None
         if not exclude:
             return candidates[0].next_hop
         for candidate in candidates:
@@ -91,7 +164,9 @@ class RoutingTable:
         """Cost of the best (non-excluded) route to *destination*."""
         candidates = self._routes.get(destination)
         if candidates is None:
-            return None
+            candidates = self._load(destination)
+            if candidates is None:
+                return None
         if not exclude:
             return candidates[0].cost
         for candidate in candidates:
@@ -101,7 +176,7 @@ class RoutingTable:
 
     def backup_next_hop(self, destination: int) -> Optional[int]:
         """The second-best next hop (distinct from the primary), if any."""
-        candidates = self._routes.get(destination, [])
+        candidates = self.candidates(destination)
         if len(candidates) < 2:
             return None
         primary = candidates[0].next_hop
@@ -112,7 +187,9 @@ class RoutingTable:
 
     def entry_count(self) -> int:
         """Total number of stored candidates (used for state-size metrics)."""
-        return sum(len(c) for c in self._routes.values())
+        return sum(len(c) for c in self._routes.values()) + sum(
+            self._counts[row] for row in self._pending.values()
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RoutingTable(owner={self.owner}, destinations={sorted(self._routes)})"
+        return f"RoutingTable(owner={self.owner}, destinations={sorted(self.destinations)})"

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.radio.power import build_power_table_for_radius
-from repro.routing.bellman_ford import ConvergenceStats, DistributedBellmanFord
+from repro.routing.bellman_ford import (
+    ConvergenceError,
+    ConvergenceStats,
+    DistributedBellmanFord,
+)
 from repro.topology.field import SensorField
 from repro.topology.placement import grid_placement
 from repro.topology.zone import ZoneMap
@@ -98,3 +102,15 @@ class TestConvergenceAccounting:
         tables, _ = DistributedBellmanFord(field, table, zones).compute()
         assert not tables[2].destinations
         assert not tables[0].has_route(2)
+
+    def test_running_out_of_rounds_raises(self):
+        # Round 1 only spreads one-hop routes; 0 -> 2 through 1 needs round 2.
+        field, table, zones = build(chain_positions(3, spacing=5.0), radius=10.0)
+        dbf = DistributedBellmanFord(field, table, zones, max_rounds=1)
+        with pytest.raises(ConvergenceError, match=r"in 1 rounds: 3 node\(s\) still changing"):
+            dbf.compute()
+
+    def test_enough_rounds_converge_without_raising(self):
+        field, table, zones = build(chain_positions(3, spacing=5.0), radius=10.0)
+        _, stats = DistributedBellmanFord(field, table, zones, max_rounds=3).compute()
+        assert stats.rounds == 3

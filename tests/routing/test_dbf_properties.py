@@ -156,6 +156,8 @@ class TestConvergence:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=100_000))
     def test_rounds_bounded_by_node_count(self, seed):
+        # The default max_rounds is the node count: compute() raises
+        # ConvergenceError if vectors still change when it runs out.
         field, table, zones = random_topology(seed)
         _tables, stats = DistributedBellmanFord(field, table, zones).compute()
         assert 1 <= stats.rounds <= max(len(field), 2)

@@ -1,5 +1,6 @@
 """Tests for routing tables."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -87,3 +88,107 @@ class TestRoutingTable:
         best = table.next_hop(99)
         best_cost = min(c.cost for c in candidates)
         assert any(c.next_hop == best and c.cost == best_cost for c in candidates)
+
+
+INF = float("inf")
+
+
+def paired_tables(owner, next_hops, destinations, costs):
+    """The same routes as a cost-block table and as a ``set_candidates`` table."""
+    block = RoutingTable.from_cost_block(owner, next_hops, destinations, np.array(costs))
+    listed = RoutingTable(owner)
+    for j, dest in enumerate(destinations):
+        candidates = [
+            RouteCandidate(next_hop=hop, cost=row[j])
+            for hop, row in zip(next_hops, costs)
+            if row[j] < INF
+        ]
+        if candidates:
+            listed.set_candidates(dest, candidates)
+    return block, listed
+
+
+def assert_same_answers(block, listed, queried, excludes):
+    assert block.destinations == listed.destinations
+    assert block.entry_count() == listed.entry_count()
+    for dest in queried:
+        assert block.has_route(dest) == listed.has_route(dest)
+        assert block.best(dest) == listed.best(dest)
+        assert block.candidates(dest) == listed.candidates(dest)
+        assert block.backup_next_hop(dest) == listed.backup_next_hop(dest)
+        for exclude in excludes:
+            assert block.next_hop(dest, exclude=exclude) == listed.next_hop(dest, exclude=exclude)
+            assert block.cost(dest, exclude=exclude) == listed.cost(dest, exclude=exclude)
+    assert block.destinations == listed.destinations
+    assert block.entry_count() == listed.entry_count()
+
+
+class TestCostBlockTable:
+    """A table built from a cost block answers exactly like a listed one."""
+
+    NEXT_HOPS = [1, 2, 3]
+    DESTINATIONS = [1, 2, 3, 5, 7]
+    COSTS = [
+        # dest:  1     2     3     5     7
+        [1.0, 3.0, 4.0, 2.5, INF],  # via 1
+        [3.0, 1.0, 2.0, 2.5, INF],  # via 2
+        [4.0, 2.0, 1.5, INF, INF],  # via 3
+    ]
+
+    def test_same_answers_as_set_candidates(self):
+        block, listed = paired_tables(0, self.NEXT_HOPS, self.DESTINATIONS, self.COSTS)
+        assert block.destinations == {1, 2, 3, 5}
+        excludes = [None, set(), {1}, {2}, {1, 2}, {1, 2, 3}]
+        assert_same_answers(block, listed, [5, 1, 2, 3, 7, 99, 5], excludes)
+
+    def test_equal_costs_tie_break_on_next_hop(self):
+        block, _ = paired_tables(0, self.NEXT_HOPS, self.DESTINATIONS, self.COSTS)
+        assert [c.next_hop for c in block.candidates(5)] == [1, 2]
+        assert block.backup_next_hop(5) == 2
+
+    def test_costs_are_python_floats(self):
+        block, _ = paired_tables(0, self.NEXT_HOPS, self.DESTINATIONS, self.COSTS)
+        assert all(type(c.cost) is float for c in block.candidates(1))
+        assert all(type(c.next_hop) is int for c in block.candidates(1))
+
+    def test_set_candidates_overrides_an_unqueried_destination(self):
+        block, _ = paired_tables(0, self.NEXT_HOPS, self.DESTINATIONS, self.COSTS)
+        block.set_candidates(5, [])
+        assert not block.has_route(5)
+        assert block.best(5) is None
+        block.set_candidates(2, [RouteCandidate(next_hop=3, cost=9.0)])
+        assert block.candidates(2) == [RouteCandidate(next_hop=3, cost=9.0)]
+        assert block.entry_count() == 3 + 1 + 3
+
+    def test_clear_drops_unqueried_routes(self):
+        block, _ = paired_tables(0, self.NEXT_HOPS, self.DESTINATIONS, self.COSTS)
+        block.best(1)
+        block.clear()
+        assert block.destinations == set()
+        assert block.entry_count() == 0
+        assert block.next_hop(2) is None
+
+    def test_owner_cannot_be_a_destination(self):
+        with pytest.raises(ValueError):
+            RoutingTable.from_cost_block(1, [2], [1], np.array([[1.0]]))
+
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=6),
+        st.data(),
+    )
+    def test_property_same_answers_as_set_candidates(self, hop_count, dest_count, data):
+        next_hops = list(range(1, hop_count + 1))
+        destinations = list(range(10, 10 + dest_count))
+        cost = st.sampled_from([INF, 1.0, 2.0, 2.5, 0.1 + 0.2])
+        costs = data.draw(
+            st.lists(
+                st.lists(cost, min_size=dest_count, max_size=dest_count),
+                min_size=hop_count,
+                max_size=hop_count,
+            )
+        )
+        queried = data.draw(st.permutations(destinations + [99]))
+        block, listed = paired_tables(0, next_hops, destinations, costs)
+        excludes = [None, {1}, set(next_hops)]
+        assert_same_answers(block, listed, queried, excludes)
