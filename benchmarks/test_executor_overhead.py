@@ -3,8 +3,10 @@
 PR 9 replaced the executor's plain ``multiprocessing.Pool`` with the
 supervised pool (:mod:`repro.experiments.supervisor`): per-worker pipes,
 ``connection.wait`` multiplexing, deadline tracking, retry bookkeeping.
-That machinery runs in the parent while workers simulate, so on a healthy
-(fault-free) grid its cost should be polling noise — the acceptance bar is
+That machinery runs in the parent while workers simulate.  The parent
+blocks until a worker pipe is readable or a deadline or due retry arrives,
+so on a healthy (fault-free) grid it is idle between completions and its
+cost is little more than the IPC itself — the acceptance bar is
 **supervised wall time <= 1.10x the plain pool** on the quick fig06 grid,
 plus a byte-identity check: both executions must produce identical canonical
 records.

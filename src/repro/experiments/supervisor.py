@@ -29,6 +29,14 @@ SIGKILLed mid-``send`` can corrupt only its own pipe, which the supervisor
 discards wholesale when it respawns the worker — a shared result queue would
 be poisoned for everyone.  Workers are daemonic, so even a crashed parent
 cannot leak simulation processes.
+
+The supervisor is event-driven: it blocks in ``connection.wait`` on the busy
+workers' pipes and wakes only when one is readable (a result, or EOF from a
+dead worker), when the nearest job deadline arrives, or when a queued
+retry's backoff ends while a worker is idle to take it.  With nothing
+time-bound it waits with no timeout, so the parent uses next to no CPU
+while its workers simulate.  Idle workers are refilled before outcomes are
+yielded, so none sits idle while the caller stores a record.
 """
 
 from __future__ import annotations
@@ -53,9 +61,6 @@ DEFAULT_MAX_ATTEMPTS = 3
 #: no thundering herd to stagger and determinism wins.
 DEFAULT_BACKOFF_BASE_S = 0.05
 DEFAULT_BACKOFF_CAP_S = 2.0
-
-#: How often the supervisor wakes to check deadlines when nothing completes.
-DEFAULT_POLL_INTERVAL_S = 0.05
 
 
 def retry_backoff_s(
@@ -212,6 +217,10 @@ class _Worker:
 class SupervisedPool:
     """A worker pool whose jobs can fail, hang or die without aborting it.
 
+    :meth:`run` sleeps until a worker pipe is readable or until the nearest
+    time-bound event: a job deadline, or a due retry when a worker is idle.
+    Without either it blocks with no timeout.
+
     Args:
         workers: Worker processes to keep alive (>= 1).
         job_timeout_s: Per-attempt wall-clock budget; ``None`` disables
@@ -219,8 +228,6 @@ class SupervisedPool:
             exactly like the pre-supervisor executor).
         max_attempts: Total tries per job before quarantine (>= 1).
         backoff_base_s / backoff_cap_s: Deterministic retry backoff shape.
-        poll_interval_s: Supervisor wake-up granularity; bounds how stale a
-            deadline check can be.
         chaos: Optional fault-injection spec, forwarded into every worker.
     """
 
@@ -231,7 +238,6 @@ class SupervisedPool:
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         backoff_base_s: float = DEFAULT_BACKOFF_BASE_S,
         backoff_cap_s: float = DEFAULT_BACKOFF_CAP_S,
-        poll_interval_s: float = DEFAULT_POLL_INTERVAL_S,
         chaos: Optional[ChaosSpec] = None,
     ) -> None:
         if workers < 1:
@@ -245,7 +251,6 @@ class SupervisedPool:
         self.max_attempts = max_attempts
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
-        self.poll_interval_s = poll_interval_s
         self.chaos = chaos
 
     # ------------------------------------------------------------------ run
@@ -275,17 +280,15 @@ class SupervisedPool:
             while waiting or any(worker.task is not None for worker in pool):
                 now = time.monotonic()
                 order = self._dispatch_ready(pool, waiting, order, now)
-                self._wait(pool, waiting, now)
+                ready = self._wait(pool, waiting, now)
                 now = time.monotonic()
-                for worker in pool:
-                    if worker.task is None or not worker.conn.poll(0):
-                        continue
+                outcomes: List[SupervisedResult] = []
+                for worker in [worker for worker in pool if worker.conn in ready]:
                     outcome, order = self._handle_message(
                         worker, pool, waiting, failed, order, now
                     )
                     if outcome is not None:
-                        yield outcome
-                now = time.monotonic()
+                        outcomes.append(outcome)
                 for worker in pool:
                     task = worker.task
                     if task is None or task.deadline is None or now < task.deadline:
@@ -294,7 +297,11 @@ class SupervisedPool:
                         worker, pool, waiting, failed, order, now
                     )
                     if outcome is not None:
-                        yield outcome
+                        outcomes.append(outcome)
+                # Refill before yielding: the consumer appends each outcome
+                # to the store, and no worker should sit idle meanwhile.
+                order = self._dispatch_ready(pool, waiting, order, time.monotonic())
+                yield from outcomes
         finally:
             for worker in pool:
                 worker.retire(kill=True)
@@ -336,21 +343,27 @@ class SupervisedPool:
         pool: List[_Worker],
         waiting: List[Tuple[float, int, int, SweepJob]],
         now: float,
-    ) -> None:
-        """Block until a result is likely ready, a deadline nears, or a
-        backoff elapses — whichever comes first."""
-        timeout = self.poll_interval_s
+    ) -> List[object]:
+        """Block until a busy worker's pipe is readable, the nearest deadline
+        arrives, or a queued retry's backoff ends while a worker is idle to
+        take it; return the readable pipes.
+
+        With none of those time-bound, block with no timeout.  *now* must be
+        the time the caller last dispatched at: every retry due by then with
+        an idle worker has been dispatched, so the backoff term is positive.
+        """
         busy = [worker for worker in pool if worker.task is not None]
-        for worker in busy:
-            if worker.task.deadline is not None:
-                timeout = min(timeout, worker.task.deadline - now)
-        if waiting:
-            timeout = min(timeout, waiting[0][0] - now)
-        timeout = max(0.0, timeout)
+        wake_at = [
+            worker.task.deadline for worker in busy if worker.task.deadline is not None
+        ]
+        if waiting and len(busy) < len(pool):
+            wake_at.append(waiting[0][0])
+        timeout = max(0.0, min(wake_at) - now) if wake_at else None
         if busy:
-            mp_connection.wait([worker.conn for worker in busy], timeout=timeout)
-        elif timeout > 0:
-            time.sleep(timeout)
+            return mp_connection.wait([worker.conn for worker in busy], timeout=timeout)
+        # Every worker is idle and the only queued work is in backoff.
+        time.sleep(timeout)
+        return []
 
     def _handle_message(
         self,

@@ -259,7 +259,7 @@ def _run_sweep_overhead_benchmark(scenario: BenchScenario) -> Dict[str, object]:
     """Time the scenario's jobs through the supervised 2-worker pool.
 
     The timed section is the whole :func:`~repro.experiments.executor.
-    execute_jobs` call — process spawn, dispatch, supervision polling, IPC
+    execute_jobs` call — process spawn, dispatch, supervision waits, IPC
     and teardown — so the trajectory notices when supervision machinery gets
     more expensive.  The digest is computed over ``canonical_json`` in job
     order (not completion order), so it must equal the serial ``quick``

@@ -7,20 +7,22 @@ fault-free run**, because injected faults fire before the simulation builds
 and jobs are independently seeded.
 """
 
+import time
+
 import pytest
 
 from repro.experiments import ChaosSpec, SupervisedPool, retry_backoff_s, run_serial
+from repro.experiments import supervisor
 from repro.experiments.config import SimulationConfig
 from repro.experiments.matrix import matrix_from_axes
 
 
-@pytest.fixture
-def grid_jobs():
+def _grid(protocols):
     return matrix_from_axes(
         "sup-test",
         "num_nodes",
         (9, 16, 25, 36),
-        protocols=("spms",),
+        protocols=protocols,
         base_config=SimulationConfig(
             num_nodes=9,
             packets_per_node=1,
@@ -29,6 +31,11 @@ def grid_jobs():
             seed=41,
         ),
     ).expand()
+
+
+@pytest.fixture
+def grid_jobs():
+    return _grid(("spms",))
 
 
 @pytest.fixture
@@ -140,7 +147,30 @@ class TestSupervisedPoolFaults:
         assert hung.ok and hung.attempts == 2
         assert [a.outcome for a in hung.failed_attempts] == ["timeout"]
         assert "job timeout" in hung.failed_attempts[0].detail
-        assert hung.failed_attempts[0].elapsed_s >= 1.0
+        # The deadline itself wakes the supervisor, so the kill lands on
+        # time whether or not the other worker completes anything.
+        assert 1.0 <= hung.failed_attempts[0].elapsed_s < 1.5
+        for key, outcome in outcomes.items():
+            assert outcome.record.canonical_json() == baseline[key]
+
+    def test_backoff_ends_while_another_worker_is_busy(self, grid_jobs, baseline):
+        # Job 3, the last queued, raises once and waits out a 0.3 s backoff
+        # while job 0 hangs on the other worker until its 3 s deadline.
+        # Nothing completes in that window, so only the backoff can wake the
+        # supervisor to hand the retry to the idle worker.
+        chaos = ChaosSpec.parse("0:hang:1,3:raise:1")
+        pool = SupervisedPool(
+            workers=2, job_timeout_s=3.0, backoff_base_s=0.3, chaos=chaos
+        )
+        started = time.monotonic()
+        arrived, outcomes = {}, {}
+        for outcome in pool.run(grid_jobs):
+            arrived[outcome.job.key] = time.monotonic() - started
+            outcomes[outcome.job.key] = outcome
+        retried = outcomes[grid_jobs[3].key]
+        assert retried.ok and retried.attempts == 2
+        assert [a.outcome for a in retried.failed_attempts] == ["raised"]
+        assert 0.3 <= arrived[grid_jobs[3].key] < 3.0
         for key, outcome in outcomes.items():
             assert outcome.record.canonical_json() == baseline[key]
 
@@ -181,3 +211,24 @@ class TestSupervisedPoolFaults:
         stream.close()
         # close() runs the supervisor's finally: every worker killed+joined.
         assert len(multiprocessing.active_children()) <= before
+
+
+class TestEventDrivenWait:
+    def test_supervisor_blocks_instead_of_spinning(self, monkeypatch):
+        # With every worker busy and jobs queued, the supervisor must block
+        # until a pipe is readable: no zero-timeout waits, and at most one
+        # wake per completion plus one per worker.
+        jobs = _grid(("spms", "spin"))
+        assert len(jobs) == 8
+        timeouts = []
+        original = supervisor.mp_connection.wait
+
+        def counting_wait(object_list, timeout=None):
+            timeouts.append(timeout)
+            return original(object_list, timeout)
+
+        monkeypatch.setattr(supervisor.mp_connection, "wait", counting_wait)
+        outcomes = _pool_outcomes(jobs, workers=2)
+        assert all(outcome.ok for outcome in outcomes.values())
+        assert [t for t in timeouts if t is not None and t <= 0] == []
+        assert len(timeouts) <= len(jobs) + 2
