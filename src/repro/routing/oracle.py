@@ -8,9 +8,8 @@ energy (e.g. quick examples).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import TYPE_CHECKING, Dict, Optional, Set
 
-import networkx as nx
 import numpy as np
 
 from repro.radio.pathloss import pairwise_distances
@@ -19,12 +18,17 @@ from repro.routing.table import RouteCandidate, RoutingTable
 from repro.topology.field import SensorField
 from repro.topology.zone import ZoneMap
 
+if TYPE_CHECKING:
+    import networkx as nx
+
 
 def _build_global_graph(
     field: SensorField,
     power_table: PowerTable,
     exclude_nodes: Set[int],
 ) -> nx.Graph:
+    import networkx as nx
+
     graph = nx.Graph()
     all_ids, positions = field.positions_array()
     keep = [i for i, node_id in enumerate(all_ids) if node_id not in exclude_nodes]
@@ -58,6 +62,8 @@ def centralized_routes(
     direct neighbour, the cost of the best path whose first hop is that
     neighbour, so primary and backup next hops agree with the DBF tables.
     """
+    import networkx as nx
+
     exclude = set(exclude_nodes or ())
     graph = _build_global_graph(field, power_table, exclude)
     tables: Dict[int, RoutingTable] = {}

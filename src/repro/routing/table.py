@@ -9,7 +9,7 @@ and the second best is the backup that tolerates one concurrent failure
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -30,18 +30,20 @@ class RouteCandidate:
 class RoutingTable:
     """Routes from one node to every destination it maintains state for.
 
-    A table built by :meth:`from_cost_block` keeps the converged
-    (next hop x destination) cost block, sorted per destination, and turns
-    a destination's costs into its candidate list the first time that
-    destination is queried; later queries are one dict lookup.
-    :meth:`set_candidates` stores a list directly (the centralized oracle
-    builds tables this way).
+    Each destination's routes are two parallel plain lists, ``(next_hops,
+    costs)``, sorted by ``(cost, next hop)``; a :class:`RouteCandidate` is
+    built only when one is returned.  A table built by
+    :meth:`from_cost_block` keeps the converged (next hop x destination) cost
+    block, sorted per destination, and turns a destination's block row into
+    its lists the first time that destination is queried; later queries are
+    one dict lookup.  :meth:`set_candidates` fills the lists directly (the
+    centralized oracle builds tables this way).
     """
 
     def __init__(self, owner: int) -> None:
         self.owner = owner
-        self._routes: Dict[int, List[RouteCandidate]] = {}
-        # Destinations whose candidate list is not built yet -> block row.
+        self._routes: Dict[int, Tuple[List[int], List[float]]] = {}
+        # Destinations whose lists are not built yet -> block row.
         self._pending: Dict[int, int] = {}
         # One row per block destination, sorted by (cost, next hop); the
         # first ``_counts[row]`` entries of a row are its finite candidates.
@@ -89,7 +91,10 @@ class RoutingTable:
         self._pending.pop(destination, None)
         ordered = sorted(candidates, key=lambda c: (c.cost, c.next_hop))
         if ordered:
-            self._routes[destination] = ordered
+            self._routes[destination] = (
+                [c.next_hop for c in ordered],
+                [c.cost for c in ordered],
+            )
         else:
             self._routes.pop(destination, None)
 
@@ -98,19 +103,13 @@ class RoutingTable:
         self._routes.clear()
         self._pending.clear()
 
-    def _load(self, destination: int) -> Optional[List[RouteCandidate]]:
-        """Build, cache and return *destination*'s list from the cost block."""
+    def _load(self, destination: int) -> Optional[Tuple[List[int], List[float]]]:
+        """Build, cache and return *destination*'s lists from the cost block."""
         row = self._pending.pop(destination, None)
         if row is None:
             return None
         count = self._counts[row]
-        routes = list(
-            map(
-                RouteCandidate,
-                self._hops[row, :count].tolist(),
-                self._costs[row, :count].tolist(),
-            )
-        )
+        routes = (self._hops[row, :count].tolist(), self._costs[row, :count].tolist())
         self._routes[destination] = routes
         return routes
 
@@ -127,10 +126,10 @@ class RoutingTable:
 
     def candidates(self, destination: int) -> List[RouteCandidate]:
         """All candidate routes to *destination*, cheapest first."""
-        candidates = self._routes.get(destination)
-        if candidates is None:
-            candidates = self._load(destination) or []
-        return list(candidates)
+        routes = self._routes.get(destination) or self._load(destination)
+        if routes is None:
+            return []
+        return list(map(RouteCandidate, *routes))
 
     def best(self, destination: int) -> Optional[RouteCandidate]:
         """The cheapest route candidate to *destination*, if any.
@@ -138,56 +137,55 @@ class RoutingTable:
         One dict lookup for the protocol hot path that needs both the next
         hop and the cost of the primary route (SPMS advertisement handling).
         """
-        candidates = self._routes.get(destination)
-        if candidates is None:
-            candidates = self._load(destination)
-        return candidates[0] if candidates else None
+        routes = self._routes.get(destination) or self._load(destination)
+        if routes is None:
+            return None
+        return RouteCandidate(routes[0][0], routes[1][0])
 
     def next_hop(self, destination: int, exclude: Optional[Set[int]] = None) -> Optional[int]:
         """Best next hop towards *destination*, skipping nodes in *exclude*.
 
         Returns ``None`` if no (non-excluded) route exists.
         """
-        candidates = self._routes.get(destination)
-        if candidates is None:
-            candidates = self._load(destination)
-            if candidates is None:
-                return None
+        routes = self._routes.get(destination) or self._load(destination)
+        if routes is None:
+            return None
+        hops = routes[0]
         if not exclude:
-            return candidates[0].next_hop
-        for candidate in candidates:
-            if candidate.next_hop not in exclude:
-                return candidate.next_hop
+            return hops[0]
+        for hop in hops:
+            if hop not in exclude:
+                return hop
         return None
 
     def cost(self, destination: int, exclude: Optional[Set[int]] = None) -> Optional[float]:
         """Cost of the best (non-excluded) route to *destination*."""
-        candidates = self._routes.get(destination)
-        if candidates is None:
-            candidates = self._load(destination)
-            if candidates is None:
-                return None
+        routes = self._routes.get(destination) or self._load(destination)
+        if routes is None:
+            return None
+        hops, costs = routes
         if not exclude:
-            return candidates[0].cost
-        for candidate in candidates:
-            if candidate.next_hop not in exclude:
-                return candidate.cost
+            return costs[0]
+        for hop, cost in zip(hops, costs):
+            if hop not in exclude:
+                return cost
         return None
 
     def backup_next_hop(self, destination: int) -> Optional[int]:
         """The second-best next hop (distinct from the primary), if any."""
-        candidates = self.candidates(destination)
-        if len(candidates) < 2:
+        routes = self._routes.get(destination) or self._load(destination)
+        if routes is None:
             return None
-        primary = candidates[0].next_hop
-        for candidate in candidates[1:]:
-            if candidate.next_hop != primary:
-                return candidate.next_hop
+        hops = routes[0]
+        primary = hops[0]
+        for hop in hops[1:]:
+            if hop != primary:
+                return hop
         return None
 
     def entry_count(self) -> int:
         """Total number of stored candidates (used for state-size metrics)."""
-        return sum(len(c) for c in self._routes.values()) + sum(
+        return sum(len(hops) for hops, _ in self._routes.values()) + sum(
             self._counts[row] for row in self._pending.values()
         )
 

@@ -13,12 +13,13 @@ shortest path is a minimum-total-transmit-power route.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.radio.power import PowerTable
 from repro.topology.field import SensorField
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class ZoneGraph:
@@ -47,6 +48,8 @@ class ZoneGraph:
 
     def shortest_path(self, source: int, target: int) -> Optional[List[int]]:
         """Minimum-power path from *source* to *target*, or ``None``."""
+        import networkx as nx
+
         try:
             return nx.shortest_path(self.graph, source, target, weight="weight")
         except (nx.NetworkXNoPath, nx.NodeNotFound):
@@ -54,6 +57,8 @@ class ZoneGraph:
 
     def shortest_path_cost(self, source: int, target: int) -> Optional[float]:
         """Total power cost of the minimum-power path, or ``None``."""
+        import networkx as nx
+
         try:
             return nx.shortest_path_length(self.graph, source, target, weight="weight")
         except (nx.NetworkXNoPath, nx.NodeNotFound):
@@ -92,6 +97,8 @@ def build_zone_graph(
     transmission range of each other; the weight is the minimum power needed
     for that hop.
     """
+    import networkx as nx
+
     members = set(zone_members) | {center}
     graph = nx.Graph()
     graph.add_nodes_from(members)
@@ -107,6 +114,8 @@ def build_zone_graph(
 def all_pairs_costs(zone_graph: ZoneGraph) -> Dict[Tuple[int, int], float]:
     """All-pairs minimum-power costs inside a zone graph (used by tests to
     validate the distributed Bellman-Ford implementation)."""
+    import networkx as nx
+
     costs: Dict[Tuple[int, int], float] = {}
     lengths = dict(nx.all_pairs_dijkstra_path_length(zone_graph.graph, weight="weight"))
     for source, targets in lengths.items():

@@ -168,6 +168,45 @@ class TestCostBlockTable:
         assert block.entry_count() == 0
         assert block.next_hop(2) is None
 
+    @pytest.fixture(params=["block", "listed"])
+    def table(self, request):
+        block, listed = paired_tables(0, self.NEXT_HOPS, self.DESTINATIONS, self.COSTS)
+        return block if request.param == "block" else listed
+
+    def test_best_is_first_candidate(self, table):
+        for dest in (1, 2, 3, 5):
+            best = table.best(dest)
+            assert type(best) is RouteCandidate
+            assert best == table.candidates(dest)[0]
+
+    def test_exclude_skipping_first_k_hops_returns_next(self, table):
+        for dest in (1, 2, 3):
+            candidates = table.candidates(dest)
+            for k in range(len(candidates)):
+                skipped = {c.next_hop for c in candidates[:k]}
+                assert table.next_hop(dest, exclude=skipped) == candidates[k].next_hop
+                assert table.cost(dest, exclude=skipped) == candidates[k].cost
+            every_hop = {c.next_hop for c in candidates}
+            assert table.next_hop(dest, exclude=every_hop) is None
+            assert table.cost(dest, exclude=every_hop) is None
+
+    def test_mutating_returned_candidates_leaves_table_unchanged(self, table):
+        before = table.candidates(1)
+        returned = table.candidates(1)
+        returned.reverse()
+        returned.append(RouteCandidate(next_hop=9, cost=0.0))
+        assert table.candidates(1) == before
+        assert table.next_hop(1) == before[0].next_hop
+        assert table.entry_count() == 3 + 3 + 3 + 2
+
+    def test_entry_count_stable_across_queries(self, table):
+        before = table.entry_count()
+        for dest in self.DESTINATIONS:
+            table.best(dest)
+        assert table.entry_count() == before == 3 + 3 + 3 + 2
+        table.clear()
+        assert table.entry_count() == 0
+
     def test_owner_cannot_be_a_destination(self):
         with pytest.raises(ValueError):
             RoutingTable.from_cost_block(1, [2], [1], np.array([[1.0]]))
