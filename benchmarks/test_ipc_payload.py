@@ -1,6 +1,6 @@
 """IPC payload benchmark: streamed record summaries vs shipped collectors.
 
-The pre-redesign executor returned ``(index, ScenarioResult, MetricsCollector)``
+The pre-redesign executor returned ``(index, flat result, MetricsCollector)``
 from every worker — the collector alone carries one entry per (item,
 destination) delivery, so the pickled payload grew with the traffic volume.
 The redesigned executor reduces to a :class:`MetricsSummary` in-process and
@@ -17,7 +17,6 @@ import pickle
 from benchmarks.conftest import emit, run_once
 from repro.experiments.matrix import get_matrix
 from repro.experiments.runner import ExperimentRunner
-from repro.results import ScenarioResult
 
 #: The redesign's acceptance bar for total payload reduction on fig06.
 REQUIRED_REDUCTION_FACTOR = 5.0
@@ -28,10 +27,9 @@ def _measure_fig06_payloads(scale):
     for job in get_matrix("fig06", scale=scale).expand():
         runner = ExperimentRunner(job.spec)
         record = runner.run_record(key=job.key, axes=job.axes)
-        # What the pre-redesign worker pickled back per job...
-        old_payload = pickle.dumps(
-            (job.index, ScenarioResult.from_record(record), runner.metrics)
-        )
+        # What the pre-redesign worker pickled back per job (its flat
+        # result emulated by the record's flat view)...
+        old_payload = pickle.dumps((job.index, record.as_dict(), runner.metrics))
         # ...vs the streamed record the redesigned worker ships.
         new_payload = pickle.dumps((job.index, record))
         rows.append((job.key, len(old_payload), len(new_payload)))

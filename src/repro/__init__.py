@@ -53,16 +53,12 @@ from repro.experiments import (
     cluster_scenario,
     line_positions,
     run_scenario,
-    run_scenario_record,
     single_pair_scenario,
-    sweep_nodes,
-    sweep_radius,
 )
 from repro.results import (
     MetricsSummary,
     RunRecord,
     RunStore,
-    ScenarioResult,
     SweepResult,
 )
 from repro.sim import Simulator
@@ -90,7 +86,6 @@ __all__ = [
     "RunRecord",
     "RunStore",
     "Sandbox",
-    "ScenarioResult",
     "ScenarioSpec",
     "SimulationConfig",
     "Simulator",
@@ -102,9 +97,6 @@ __all__ = [
     "cluster_scenario",
     "line_positions",
     "run_scenario",
-    "run_scenario_record",
     "single_pair_scenario",
-    "sweep_nodes",
-    "sweep_radius",
     "__version__",
 ]

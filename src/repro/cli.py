@@ -100,10 +100,10 @@ from repro.perf import (
 )
 from repro.perf.bench import QUICK_BENCHMARK, format_bench_record
 from repro.results import (
+    FLAT_FIELDS,
     RunRecord,
     RunStore,
     RunStoreError,
-    ScenarioResult,
 )
 
 #: Exit code of a run that finished but could not complete every job: a
@@ -114,13 +114,11 @@ from repro.results import (
 EXIT_PARTIAL_FAILURE = 3
 
 #: Metric names accepted by ``sweep --metric`` / ``report --metric`` — the
-#: numeric scalar headline metrics every record exposes (names like
-#: ``protocol`` or dict-valued fields such as ``packets_sent`` are not
-#: tabulatable and are rejected up front).
+#: numeric headline metrics of the flat record view (:data:`FLAT_FIELDS` minus
+#: the ``protocol``/``scenario`` labels; dict-valued properties such as
+#: ``packets_sent`` are not in the view, so they are rejected up front).
 METRIC_NAMES = tuple(sorted(
-    f.name
-    for f in dataclasses.fields(ScenarioResult)
-    if f.type in ("int", "float")
+    name for name in FLAT_FIELDS if name not in ("protocol", "scenario")
 ))
 
 def _listing_name(kind: str) -> str:
@@ -277,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--metric", default="energy_per_item_uj",
-        help="ScenarioResult metric printed in the sweep table",
+        help="record metric printed in the sweep table",
     )
     sweep.add_argument(
         "--quiet", action="store_true", help="suppress per-job progress lines"
@@ -433,13 +431,15 @@ def _run_single_spec(args: argparse.Namespace, out: Callable[[str], None]) -> in
     if args.run_dir:
         raw = runner.raw_metrics() if args.keep_raw else None
         record = RunStore(args.run_dir).append(record, raw=raw)
-    result = ScenarioResult.from_record(record)
     if args.as_json:
-        out(json.dumps(result.to_dict(), sort_keys=True, indent=1))
+        flat = record.as_dict()
+        for name in ("energy_breakdown_uj", "packets_sent", "packets_dropped"):
+            flat[name] = getattr(record, name)
+        out(json.dumps(flat, sort_keys=True, indent=1))
         return 0
-    out(f"scenario {result.scenario!r} (protocol={result.protocol}, "
-        f"nodes={result.num_nodes}, radius={result.transmission_radius_m:g} m)")
-    for key, value in result.as_dict().items():
+    out(f"scenario {record.scenario!r} (protocol={record.protocol}, "
+        f"nodes={record.num_nodes}, radius={record.transmission_radius_m:g} m)")
+    for key, value in record.as_dict().items():
         if key in ("protocol", "scenario", "num_nodes", "transmission_radius_m"):
             continue
         out(f"  {key:<24} {value:.4f}" if isinstance(value, float) else f"  {key:<24} {value}")

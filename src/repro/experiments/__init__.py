@@ -47,12 +47,11 @@ from repro.experiments.matrix import (
     get_matrix,
     register_matrix,
 )
-from repro.experiments.runner import ExperimentRunner, run_scenario, run_scenario_record
+from repro.experiments.runner import ExperimentRunner, run_scenario
 from repro.results import (
     MetricsSummary,
     RunRecord,
     RunStore,
-    ScenarioResult,
     SweepResult,
 )
 from repro.experiments.sandbox import Sandbox, build_sandbox, line_positions
@@ -62,7 +61,6 @@ from repro.experiments.scenarios import (
     cluster_scenario,
     single_pair_scenario,
 )
-from repro.experiments.sweep import run_matrix, sweep_nodes, sweep_radius
 from repro.experiments import claims, figures
 
 __all__ = [
@@ -82,7 +80,6 @@ __all__ = [
     "RunStore",
     "Sandbox",
     "ScenarioMatrix",
-    "ScenarioResult",
     "ScenarioSpec",
     "SimulationConfig",
     "SweepJob",
@@ -99,12 +96,8 @@ __all__ = [
     "line_positions",
     "register_matrix",
     "retry_backoff_s",
-    "run_matrix",
     "run_scenario",
     "run_serial",
-    "run_scenario_record",
     "single_pair_scenario",
     "stream_jobs",
-    "sweep_nodes",
-    "sweep_radius",
 ]

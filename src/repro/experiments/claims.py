@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.results import ScenarioResult, SweepResult
+from repro.results import RunRecord, SweepResult
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,14 @@ class ClaimCheck:
     holds: bool
 
 
-def energy_saving_percent(spin: ScenarioResult, spms: ScenarioResult) -> float:
+def energy_saving_percent(spin: RunRecord, spms: RunRecord) -> float:
     """Energy saved by SPMS relative to SPIN, in percent."""
     if spin.energy_per_item_uj == 0:
         return 0.0
     return 100.0 * (1.0 - spms.energy_per_item_uj / spin.energy_per_item_uj)
 
 
-def delay_ratio(spin: ScenarioResult, spms: ScenarioResult) -> float:
+def delay_ratio(spin: RunRecord, spms: RunRecord) -> float:
     """SPIN delay divided by SPMS delay (>1 means SPMS is faster)."""
     if spms.average_delay_ms == 0:
         return float("inf") if spin.average_delay_ms > 0 else 1.0
@@ -54,10 +54,18 @@ def delay_ratio(spin: ScenarioResult, spms: ScenarioResult) -> float:
 
 
 def _paired(sweep: SweepResult, a: str = "spin", b: str = "spms") -> List[tuple]:
-    pairs = []
-    for spin_result, spms_result in zip(sweep.results.get(a, []), sweep.results.get(b, [])):
-        pairs.append((spin_result, spms_result))
-    return pairs
+    """``(a, b)`` record pairs at every swept value both series cover.
+
+    Pairs by swept value, not position: a point one series misses (a
+    quarantined job, a sparse series) is skipped instead of shifting the
+    other series' runs onto the wrong values.
+    """
+    first, second = sweep.by_value(a), sweep.by_value(b)
+    return [
+        (first[value], second[value])
+        for value in sweep.values
+        if value in first and value in second
+    ]
 
 
 def energy_savings_across(sweep: SweepResult) -> List[float]:

@@ -1,9 +1,11 @@
 """Per-figure experiment generators.
 
 One function per table/figure of the paper's evaluation.  Each returns either
-an analytical series (Figures 3 and 5) or a :class:`SweepResult` of simulation
-runs (Figures 6-13).  The benchmark files under ``benchmarks/`` call these and
-print the resulting rows.
+an analytical series (Figures 3 and 5) or a :class:`SweepResult` of run
+records (Figures 6-13): the figure's registered matrix is expanded, executed
+by :func:`~repro.experiments.executor.execute_jobs` and folded by
+:func:`~repro.experiments.executor.assemble_sweep`.  The benchmark files
+under ``benchmarks/`` call these and print the resulting rows.
 
 Scaling: the paper runs 10 packets per node on up to ~225 nodes.  That is
 minutes of simulation per figure in pure Python, so the default
@@ -14,6 +16,7 @@ sizes.  ``EXPERIMENTS.md`` records which scale produced the recorded numbers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -25,10 +28,14 @@ from repro.experiments.config import (
     SimulationConfig,
     TABLE1_PARAMETERS,
 )
-from repro.experiments.executor import default_workers
-from repro.experiments.matrix import ScenarioMatrix, matrix_from_axes, register_matrix
+from repro.experiments.executor import assemble_sweep, default_workers, execute_jobs
+from repro.experiments.matrix import (
+    MatrixFactory,
+    ScenarioMatrix,
+    matrix_from_axes,
+    register_matrix,
+)
 from repro.results import SweepResult
-from repro.experiments.sweep import run_matrix
 
 
 @dataclass(frozen=True)
@@ -96,21 +103,17 @@ def paper_scale() -> FigureScale:
 # Several figures share identical sweeps (Figure 6 and Figure 8 plot energy
 # and delay of the same runs; Figures 10/11 reuse the failure-free curves of
 # Figures 6/9).  Simulation runs are deterministic for a given scale, so the
-# sweeps are memoised per (kind, scale) to keep the benchmark suite fast.
+# sweeps are memoised per (matrix, scale) to keep the benchmark suite fast.
 
-_SWEEP_CACHE: Dict[Tuple[str, FigureScale], SweepResult] = {}
+
+@functools.cache
+def _memoised_sweep(matrix: MatrixFactory, scale: FigureScale) -> SweepResult:
+    return _run_registered(matrix(scale))
 
 
 def clear_figure_cache() -> None:
     """Drop memoised sweeps (tests use this to force fresh runs)."""
-    _SWEEP_CACHE.clear()
-
-
-def _cached(kind: str, scale: FigureScale, compute) -> SweepResult:
-    key = (kind, scale)
-    if key not in _SWEEP_CACHE:
-        _SWEEP_CACHE[key] = compute()
-    return _SWEEP_CACHE[key]
+    _memoised_sweep.cache_clear()
 
 
 # ----------------------------------------------------------- figure matrices
@@ -295,8 +298,21 @@ def fig13_cluster_failures_matrix(scale: "FigureScale | None" = None) -> Scenari
 
 def _run_registered(matrix: ScenarioMatrix) -> SweepResult:
     """Execute a figure matrix (worker count from ``REPRO_SWEEP_WORKERS``)."""
-    sweep, _report = run_matrix(matrix, workers=default_workers())
-    return sweep
+    jobs = matrix.expand()
+    records, _report = execute_jobs(jobs, workers=default_workers())
+    return assemble_sweep(jobs, records)
+
+
+def _with_failure_curves(
+    healthy: SweepResult, faulty: SweepResult, values: Sequence[float]
+) -> SweepResult:
+    """Four curves: ``spms``/``spin`` failure free, ``f-spms``/``f-spin`` faulty."""
+    merged = SweepResult(parameter=healthy.parameter, values=list(values))
+    merged.results["spms"] = healthy.results["spms"]
+    merged.results["spin"] = healthy.results["spin"]
+    merged.results["f-spms"] = faulty.results["spms"]
+    merged.results["f-spin"] = faulty.results["spin"]
+    return merged
 
 
 # --------------------------------------------------------------------- Table 1
@@ -323,26 +339,14 @@ def figure5_energy_ratio(radii: Sequence[int] = tuple(range(1, 31))) -> List[Tup
 # ----------------------------------------------------------- Figures 6 through 9
 
 
-def _static_node_sweep(scale: FigureScale) -> SweepResult:
-    return _cached(
-        "static_nodes", scale, lambda: _run_registered(fig06_matrix(scale))
-    )
-
-
-def _static_radius_sweep(scale: FigureScale) -> SweepResult:
-    return _cached(
-        "static_radius", scale, lambda: _run_registered(fig07_matrix(scale))
-    )
-
-
 def figure6_energy_vs_nodes(scale: FigureScale | None = None) -> SweepResult:
     """Figure 6: energy per packet vs number of nodes (static, failure free)."""
-    return _static_node_sweep(scale or bench_scale())
+    return _memoised_sweep(fig06_matrix, scale or bench_scale())
 
 
 def figure7_energy_vs_radius(scale: FigureScale | None = None) -> SweepResult:
     """Figure 7: energy per packet vs transmission radius (fixed node count)."""
-    return _static_radius_sweep(scale or bench_scale())
+    return _memoised_sweep(fig07_matrix, scale or bench_scale())
 
 
 def figure8_delay_vs_nodes(scale: FigureScale | None = None) -> SweepResult:
@@ -351,7 +355,7 @@ def figure8_delay_vs_nodes(scale: FigureScale | None = None) -> SweepResult:
     The runs are shared with Figure 6 (the paper plots energy and delay of
     the same simulations).
     """
-    return _static_node_sweep(scale or bench_scale())
+    return _memoised_sweep(fig06_matrix, scale or bench_scale())
 
 
 def figure9_delay_vs_radius(scale: FigureScale | None = None) -> SweepResult:
@@ -359,7 +363,7 @@ def figure9_delay_vs_radius(scale: FigureScale | None = None) -> SweepResult:
 
     The runs are shared with Figure 7.
     """
-    return _static_radius_sweep(scale or bench_scale())
+    return _memoised_sweep(fig07_matrix, scale or bench_scale())
 
 
 # ---------------------------------------------------------- Figures 10 and 11
@@ -372,31 +376,21 @@ def figure10_delay_failures_vs_nodes(scale: FigureScale | None = None) -> SweepR
     ``f-spms``/``f-spin`` (with the Table 1 failure process).
     """
     scale = scale or bench_scale()
-    healthy = _static_node_sweep(scale)
-    faulty = _cached(
-        "failure_nodes", scale, lambda: _run_registered(fig10_failures_matrix(scale))
+    return _with_failure_curves(
+        _memoised_sweep(fig06_matrix, scale),
+        _memoised_sweep(fig10_failures_matrix, scale),
+        scale.node_counts,
     )
-    merged = SweepResult(parameter="num_nodes", values=list(scale.node_counts))
-    merged.results["spms"] = healthy.results["spms"]
-    merged.results["spin"] = healthy.results["spin"]
-    merged.results["f-spms"] = faulty.results["spms"]
-    merged.results["f-spin"] = faulty.results["spin"]
-    return merged
 
 
 def figure11_delay_failures_vs_radius(scale: FigureScale | None = None) -> SweepResult:
     """Figure 11: delay vs transmission radius, with and without failures."""
     scale = scale or bench_scale()
-    healthy = _static_radius_sweep(scale)
-    faulty = _cached(
-        "failure_radius", scale, lambda: _run_registered(fig11_failures_matrix(scale))
+    return _with_failure_curves(
+        _memoised_sweep(fig07_matrix, scale),
+        _memoised_sweep(fig11_failures_matrix, scale),
+        scale.radii_m,
     )
-    merged = SweepResult(parameter="transmission_radius_m", values=list(scale.radii_m))
-    merged.results["spms"] = healthy.results["spms"]
-    merged.results["spin"] = healthy.results["spin"]
-    merged.results["f-spms"] = faulty.results["spms"]
-    merged.results["f-spin"] = faulty.results["spin"]
-    return merged
 
 
 # ----------------------------------------------------------------- Figure 12
@@ -419,11 +413,8 @@ def figure13_energy_cluster(scale: FigureScale | None = None) -> SweepResult:
     """Figure 13: energy vs transmission radius, cluster-based traffic,
     with and without transient failures (four curves)."""
     scale = scale or bench_scale()
-    healthy = _run_registered(fig13_cluster_matrix(scale))
-    faulty = _run_registered(fig13_cluster_failures_matrix(scale))
-    merged = SweepResult(parameter="transmission_radius_m", values=list(scale.radii_m))
-    merged.results["spms"] = healthy.results["spms"]
-    merged.results["spin"] = healthy.results["spin"]
-    merged.results["f-spms"] = faulty.results["spms"]
-    merged.results["f-spin"] = faulty.results["spin"]
-    return merged
+    return _with_failure_curves(
+        _run_registered(fig13_cluster_matrix(scale)),
+        _run_registered(fig13_cluster_failures_matrix(scale)),
+        scale.radii_m,
+    )

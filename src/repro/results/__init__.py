@@ -11,8 +11,8 @@ Everything a run produces flows through one canonical, schema-versioned type:
 * :class:`RunStore` — a run directory of sharded JSONL record logs with
   ``query(protocol=..., metric=...)`` and optional lazy raw-metrics blobs.
   ``--resume`` serves jobs from it by :func:`spec_fingerprint`.
-* :class:`ScenarioResult` / :class:`SweepResult` — thin flat/tabular views
-  kept for the historical API surface.
+* :class:`SweepResult` — the tabular view over one sweep's records, aligned
+  by each record's grid coordinates.
 """
 
 from repro.metrics.summary import DistributionSummary, MetricsSummary
@@ -24,10 +24,10 @@ from repro.results.failures import (
     JobAttempt,
     JobFailure,
 )
-from repro.results.legacy import ScenarioResult, SweepResult
 from repro.results.record import (
     CANONICAL_SCHEMA_VERSION,
     FINGERPRINT_SCHEMA_VERSION,
+    FLAT_FIELDS,
     RECORD_SCHEMA_KEY,
     RESULTS_SCHEMA_VERSION,
     RecordValidationError,
@@ -35,6 +35,7 @@ from repro.results.record import (
     spec_fingerprint,
 )
 from repro.results.store import RunStore, RunStoreError
+from repro.results.sweep import SweepResult
 
 __all__ = [
     "ATTEMPT_OUTCOMES",
@@ -43,6 +44,7 @@ __all__ = [
     "FAILURE_SCHEMA_KEY",
     "FAILURE_SCHEMA_VERSION",
     "FINGERPRINT_SCHEMA_VERSION",
+    "FLAT_FIELDS",
     "FailureValidationError",
     "JobAttempt",
     "JobFailure",
@@ -53,7 +55,6 @@ __all__ = [
     "RunRecord",
     "RunStore",
     "RunStoreError",
-    "ScenarioResult",
     "SweepResult",
     "spec_fingerprint",
 ]

@@ -5,9 +5,8 @@ completed simulation run: provenance (job key, spec fingerprint, seed, grid
 coordinates), a compact :class:`~repro.metrics.summary.MetricsSummary`, the
 routing/fault bookkeeping and the measured wall time.  Every producer (the
 runner, the executor workers) emits RunRecords and every consumer (sweeps,
-stores, reports, figures) reads them; the historical ``ScenarioResult`` is
-a thin flat view derived from a record.  :func:`spec_fingerprint` is the
-content hash every record carries and resume matches on.
+stores, reports, figures, claims) reads them.  :func:`spec_fingerprint` is
+the content hash every record carries and resume matches on.
 
 Records round-trip losslessly through JSON (:meth:`RunRecord.to_dict` /
 :meth:`RunRecord.from_dict`) with unknown-key and bad-version rejection.
@@ -63,6 +62,26 @@ FINGERPRINT_SCHEMA_VERSION = 3
 #: *execution* (how long it took, where the raw blob landed), not the result,
 #: and legitimately differ between byte-identical runs.
 VOLATILE_FIELDS = ("wall_time_s", "raw_ref")
+
+#: Keys of :meth:`RunRecord.as_dict`, the flat headline view, in its order:
+#: the two labels, then every scalar metric the CLI tables accept.
+FLAT_FIELDS = (
+    "protocol",
+    "scenario",
+    "num_nodes",
+    "transmission_radius_m",
+    "items_generated",
+    "expected_deliveries",
+    "deliveries_completed",
+    "total_energy_uj",
+    "energy_per_item_uj",
+    "average_delay_ms",
+    "delivery_ratio",
+    "routing_rebuilds",
+    "routing_energy_uj",
+    "sim_time_ms",
+    "failures_injected",
+)
 
 
 class RecordValidationError(ValueError):
@@ -135,7 +154,7 @@ class RunRecord:
     #
     # The headline metrics live on the summary; exposing them as properties
     # lets every metric-by-name consumer (``SweepResult.series``, the report
-    # tables, the claims helpers) read records and flat results identically.
+    # tables, the claims helpers) read them with ``getattr``.
 
     @property
     def items_generated(self) -> int:
@@ -272,23 +291,7 @@ class RunRecord:
 
     def as_dict(self) -> Dict[str, object]:
         """Flat headline-metric view (used by reports and the CLI)."""
-        return {
-            "protocol": self.protocol,
-            "scenario": self.scenario,
-            "num_nodes": self.num_nodes,
-            "transmission_radius_m": self.transmission_radius_m,
-            "items_generated": self.items_generated,
-            "expected_deliveries": self.expected_deliveries,
-            "deliveries_completed": self.deliveries_completed,
-            "total_energy_uj": self.total_energy_uj,
-            "energy_per_item_uj": self.energy_per_item_uj,
-            "average_delay_ms": self.average_delay_ms,
-            "delivery_ratio": self.delivery_ratio,
-            "routing_rebuilds": self.routing_rebuilds,
-            "routing_energy_uj": self.routing_energy_uj,
-            "sim_time_ms": self.sim_time_ms,
-            "failures_injected": self.failures_injected,
-        }
+        return {name: getattr(self, name) for name in FLAT_FIELDS}
 
     def with_execution(
         self, wall_time_s: Optional[float] = None, raw_ref: Optional[str] = None

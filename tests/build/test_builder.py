@@ -102,7 +102,7 @@ class TestPlacements:
 
     def test_random_placement_is_seed_deterministic(self, config):
         spec = all_to_all_scenario("spms", config, placement="random")
-        assert run_scenario(spec).to_json() == run_scenario(spec).to_json()
+        assert run_scenario(spec).canonical_json() == run_scenario(spec).canonical_json()
 
     def test_placement_seed_changes_layout(self, config):
         first = SimulationBuilder(all_to_all_scenario("spin", config, placement="random"))
@@ -139,7 +139,7 @@ class TestPluginsEndToEnd:
         )
         spec = all_to_all_scenario("quiet-spin", config)
         runner = ExperimentRunner(spec, registry=registry)
-        result = runner.run()
+        result = runner.run_record()
         assert result.protocol == "quiet-spin"
         assert all(isinstance(n, QuietSpin) for n in runner.nodes.values())
         # The f- failure-variant naming comes for free.

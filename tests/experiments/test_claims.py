@@ -11,30 +11,19 @@ from repro.experiments.claims import (
     evaluate_headline_claims,
     format_claims,
 )
-from repro.results import ScenarioResult, SweepResult
+from repro.results import SweepResult
+from tests.results.test_record import metric_record
 
 
-def result(protocol, energy, delay):
-    return ScenarioResult(
-        protocol=protocol,
-        scenario="s",
-        num_nodes=16,
-        transmission_radius_m=20.0,
-        items_generated=10,
-        expected_deliveries=100,
-        deliveries_completed=100,
-        total_energy_uj=energy * 10,
-        energy_per_item_uj=energy,
-        average_delay_ms=delay,
-        delivery_ratio=1.0,
-    )
+def result(protocol, energy, delay, nodes=16):
+    return metric_record(protocol, nodes=nodes, energy=energy, delay=delay)
 
 
 def sweep(pairs):
     out = SweepResult(parameter="num_nodes")
     for index, (spin_e, spms_e, spin_d, spms_d) in enumerate(pairs):
-        out.add("spin", index, result("spin", spin_e, spin_d))
-        out.add("spms", index, result("spms", spms_e, spms_d))
+        out.add("spin", index, result("spin", spin_e, spin_d, nodes=index))
+        out.add("spms", index, result("spms", spms_e, spms_d, nodes=index))
     return out
 
 
@@ -56,6 +45,21 @@ class TestClaimHelpers:
         s = sweep([(100, 70, 30, 10), (200, 120, 50, 20)])
         assert energy_savings_across(s) == pytest.approx([30.0, 40.0])
         assert delay_ratios_across(s) == pytest.approx([3.0, 2.5])
+
+    def test_pairs_by_swept_value_and_skips_holes(self):
+        # SPIN misses the 16-node point (e.g. a quarantined job): its first
+        # run is the 36-node one, which must meet SPMS at 36, not at 16.
+        s = SweepResult(parameter="num_nodes")
+        s.add("spms", 16, result("spms", 50, 5, nodes=16))
+        s.add("spms", 36, result("spms", 120, 20, nodes=36))
+        s.add("spin", 36, result("spin", 200, 50, nodes=36))
+        assert energy_savings_across(s) == pytest.approx([40.0])
+        assert delay_ratios_across(s) == pytest.approx([2.5])
+
+    def test_missing_series_gives_no_pairs(self):
+        s = SweepResult(parameter="num_nodes")
+        s.add("spms", 16, result("spms", 50, 5, nodes=16))
+        assert energy_savings_across(s) == []
 
 
 class TestEvaluateHeadlineClaims:

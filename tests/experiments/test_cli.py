@@ -207,6 +207,29 @@ class TestRunCommand:
         payload = json.loads("\n".join(lines))
         assert payload["protocol"] == "spin"
         assert payload["items_generated"] == 9
+        # The flat layout is an interface: pin its exact key set.
+        assert set(payload) == {
+            "average_delay_ms",
+            "deliveries_completed",
+            "delivery_ratio",
+            "energy_breakdown_uj",
+            "energy_per_item_uj",
+            "expected_deliveries",
+            "failures_injected",
+            "items_generated",
+            "num_nodes",
+            "packets_dropped",
+            "packets_sent",
+            "protocol",
+            "routing_energy_uj",
+            "routing_rebuilds",
+            "scenario",
+            "sim_time_ms",
+            "total_energy_uj",
+            "transmission_radius_m",
+        }
+        for name in ("energy_breakdown_uj", "packets_sent", "packets_dropped"):
+            assert isinstance(payload[name], dict), name
 
     def test_run_is_deterministic_across_invocations(self, capture, tmp_path):
         lines, out = capture
@@ -443,9 +466,21 @@ class TestReportCommand:
     def test_non_numeric_metrics_rejected_up_front(self):
         from repro.cli import METRIC_NAMES
 
-        assert "packets_sent" not in METRIC_NAMES
-        assert "protocol" not in METRIC_NAMES
-        assert "energy_per_item_uj" in METRIC_NAMES
+        assert METRIC_NAMES == (
+            "average_delay_ms",
+            "deliveries_completed",
+            "delivery_ratio",
+            "energy_per_item_uj",
+            "expected_deliveries",
+            "failures_injected",
+            "items_generated",
+            "num_nodes",
+            "routing_energy_uj",
+            "routing_rebuilds",
+            "sim_time_ms",
+            "total_energy_uj",
+            "transmission_radius_m",
+        )
         with pytest.raises(SystemExit):
             build_parser().parse_args(["report", "r", "--metric", "packets_sent"])
 

@@ -37,12 +37,12 @@ class TestProtocolDeterminism:
     def test_same_seed_byte_identical_summaries(self, protocol, config):
         first = run_scenario(all_to_all_scenario(protocol, config))
         second = run_scenario(all_to_all_scenario(protocol, config))
-        assert first.to_json() == second.to_json()
+        assert first.canonical_json() == second.canonical_json()
 
     @pytest.mark.parametrize("protocol", ("spms", "spin"))
     def test_same_seed_byte_identical_with_failures(self, protocol, config):
         spec = all_to_all_scenario(protocol, config, failures=FailureConfig())
-        assert run_scenario(spec).to_json() == run_scenario(spec).to_json()
+        assert run_scenario(spec).canonical_json() == run_scenario(spec).canonical_json()
 
     def test_different_seeds_differ(self, config):
         first = run_scenario(all_to_all_scenario("spms", config))

@@ -51,6 +51,13 @@ class TestSimulatedFigures:
         assert set(fig6.results) == {"spms", "spin"}
         assert fig6.values == [9, 16]
 
+    def test_clear_figure_cache_forces_fresh_runs(self, tiny_scale):
+        first = figures.figure6_energy_vs_nodes(tiny_scale)
+        figures.clear_figure_cache()
+        second = figures.figure6_energy_vs_nodes(tiny_scale)
+        assert second is not first
+        assert second.rows("energy_per_item_uj") == first.rows("energy_per_item_uj")
+
     def test_figure7_and_9_share_runs(self, tiny_scale):
         fig7 = figures.figure7_energy_vs_radius(tiny_scale)
         fig9 = figures.figure9_delay_vs_radius(tiny_scale)
@@ -61,6 +68,12 @@ class TestSimulatedFigures:
         fig10 = figures.figure10_delay_failures_vs_nodes(tiny_scale)
         assert set(fig10.results) == {"spms", "spin", "f-spms", "f-spin"}
         assert len(fig10.results["f-spms"]) == 2
+        # Every curve lands on the row of its own node count.
+        for row, nodes in zip(fig10.rows("average_delay_ms"), (9, 16)):
+            assert row["num_nodes"] == nodes
+            assert set(row) == {"num_nodes", "spms", "spin", "f-spms", "f-spin"}
+        for series, records in fig10.results.items():
+            assert [r.num_nodes for r in records] == [9, 16], series
 
     def test_figure11_has_four_curves(self, tiny_scale):
         fig11 = figures.figure11_delay_failures_vs_radius(tiny_scale)

@@ -207,18 +207,6 @@ class TestNonConfigAxes:
                 base_config=base_config,
             )
 
-    def test_non_config_axis_incompatible_with_custom_factory(self, base_config):
-        def factory(protocol, config, name):  # pragma: no cover - never called
-            raise AssertionError
-
-        with pytest.raises(ValueError, match="scenario_factory"):
-            ScenarioMatrix(
-                name="m",
-                axes={"placement": ("grid",)},
-                base_config=base_config,
-                scenario_factory=factory,
-            )
-
 
 class TestRegistry:
     def test_builtin_figures_registered(self):

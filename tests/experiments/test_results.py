@@ -1,36 +1,9 @@
-"""Tests for result containers."""
+"""Tests for the sweep table over run records."""
 
-from repro.results import ScenarioResult, SweepResult
+import dataclasses
 
-
-def make_result(protocol="spms", energy=10.0, delay=5.0, nodes=16):
-    return ScenarioResult(
-        protocol=protocol,
-        scenario="test",
-        num_nodes=nodes,
-        transmission_radius_m=20.0,
-        items_generated=4,
-        expected_deliveries=12,
-        deliveries_completed=12,
-        total_energy_uj=energy * 4,
-        energy_per_item_uj=energy,
-        average_delay_ms=delay,
-        delivery_ratio=1.0,
-    )
-
-
-class TestScenarioResult:
-    def test_as_dict_round_trip(self):
-        result = make_result()
-        data = result.as_dict()
-        assert data["protocol"] == "spms"
-        assert data["energy_per_item_uj"] == 10.0
-        assert data["num_nodes"] == 16
-
-    def test_defaults(self):
-        result = make_result()
-        assert result.routing_rebuilds == 0
-        assert result.failures_injected == 0
+from repro.results import SweepResult
+from tests.results.test_record import metric_record as make_result
 
 
 class TestSweepResult:
@@ -102,31 +75,13 @@ class TestSparseSweeps:
     def test_series_tolerates_unknown_series_name(self):
         assert self.build_sparse().series("gossip", "energy_per_item_uj") == []
 
-    def test_positional_fallback_when_no_result_carries_the_parameter(self):
-        # Hand-assembled sweeps over a synthetic index (every result has the
-        # same num_nodes) keep the historical positional alignment instead
-        # of producing an empty table.
-        sweep = SweepResult(parameter="num_nodes")
-        sweep.add("spms", 0, make_result("spms", energy=6.0, nodes=16))
-        sweep.add("spms", 1, make_result("spms", energy=10.0, nodes=16))
-        rows = sweep.rows("energy_per_item_uj")
-        assert rows == [{"num_nodes": 0, "spms": 6.0}, {"num_nodes": 1, "spms": 10.0}]
+    def test_by_value_maps_each_swept_value_to_its_record(self):
+        aligned = self.build_sparse().by_value("spin")
+        assert list(aligned) == [36]
+        assert aligned[36].energy_per_item_uj == 20.0
 
-
-class TestSweepRoundTrip:
-    def test_record_sweeps_round_trip(self):
-        from tests.results.test_record import make_record
-
-        sweep = SweepResult(parameter="num_nodes")
-        sweep.add("spms", 9, make_record(axes={"num_nodes": 9}))
-        rebuilt = SweepResult.from_dict(sweep.to_dict())
-        assert rebuilt.to_dict() == sweep.to_dict()
-        assert rebuilt.results["spms"][0] == sweep.results["spms"][0]
-        assert rebuilt.rows("energy_per_item_uj") == sweep.rows("energy_per_item_uj")
-
-    def test_flat_result_sweeps_round_trip(self):
-        sweep = SweepResult(parameter="num_nodes")
-        sweep.add("spms", 16, make_result("spms", nodes=16))
-        rebuilt = SweepResult.from_dict(sweep.to_dict())
-        assert rebuilt.to_dict() == sweep.to_dict()
-        assert isinstance(rebuilt.results["spms"][0], ScenarioResult)
+    def test_records_without_the_swept_axis_stay_out_of_the_rows(self):
+        sweep = self.build_sparse()
+        stray = dataclasses.replace(make_result("gossip", nodes=16), axes={})
+        sweep.add("gossip", 16, stray)
+        assert all("gossip" not in row for row in sweep.rows("energy_per_item_uj"))

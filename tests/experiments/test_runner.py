@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments.config import FailureConfig, MobilityConfig
 from repro.experiments.runner import ExperimentRunner, run_scenario
+from repro.results import RunRecord
 from repro.experiments.scenarios import (
     all_to_all_scenario,
     cluster_scenario,
@@ -82,6 +83,17 @@ class TestStaticRuns:
         result = run_scenario(cluster_scenario("spms", config, packets_per_member=1))
         assert result.items_generated > 0
         assert result.delivery_ratio == 1.0
+
+    def test_run_scenario_returns_the_keyed_run_record(self, config):
+        spec = all_to_all_scenario("spms", config)
+        record = run_scenario(spec)
+        assert isinstance(record, RunRecord)
+        assert record.key == spec.name
+        assert record.axes == {}
+        keyed = run_scenario(spec, key="m/num_nodes=9/spms", axes={"num_nodes": 9})
+        assert keyed.key == "m/num_nodes=9/spms"
+        assert keyed.axes == {"num_nodes": 9}
+        assert keyed.canonical_dict()["summary"] == record.canonical_dict()["summary"]
 
     def test_runner_exposes_built_objects(self, config):
         runner = ExperimentRunner(all_to_all_scenario("spms", config))

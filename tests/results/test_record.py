@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from repro.metrics.summary import DistributionSummary, MetricsSummary
 from repro.results import (
     CANONICAL_SCHEMA_VERSION,
+    FLAT_FIELDS,
     RECORD_SCHEMA_KEY,
     RESULTS_SCHEMA_VERSION,
     RecordValidationError,
     RunRecord,
-    ScenarioResult,
 )
 
 # --------------------------------------------------------------- strategies
@@ -93,6 +93,23 @@ def make_record(**overrides) -> RunRecord:
     )
     params.update(overrides)
     return RunRecord(**params)
+
+
+def metric_record(protocol="spms", nodes=16, energy=10.0, delay=5.0) -> RunRecord:
+    """A record of *protocol* at ``num_nodes=nodes`` with the given metrics."""
+    return make_record(
+        key=f"t/num_nodes={nodes}/{protocol}",
+        protocol=protocol,
+        num_nodes=nodes,
+        axes={"num_nodes": nodes},
+        summary=MetricsSummary(
+            items_generated=4,
+            expected_deliveries=12,
+            deliveries_completed=12,
+            total_energy_uj=energy * 4,
+            delay=DistributionSummary(12, delay, delay, delay, 0.0, delay),
+        ),
+    )
 
 
 class TestRoundTrip:
@@ -207,12 +224,11 @@ class TestViews:
         assert record.packets_sent == {"ADV": 9}
         assert record.energy_breakdown_uj["tx"] == 50.0
 
-    def test_scenario_result_view_matches_the_record(self):
+    def test_as_dict_is_the_flat_headline_view(self):
         record = make_record()
-        view = ScenarioResult.from_record(record)
-        for metric, value in view.as_dict().items():
+        flat = record.as_dict()
+        assert tuple(flat) == FLAT_FIELDS
+        assert flat["protocol"] == "spms"
+        assert flat["energy_per_item_uj"] == pytest.approx(10.0)
+        for metric, value in flat.items():
             assert getattr(record, metric) == value, metric
-
-    def test_as_dict_matches_the_flat_view(self):
-        record = make_record()
-        assert record.as_dict() == ScenarioResult.from_record(record).as_dict()
